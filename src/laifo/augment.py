@@ -1,8 +1,10 @@
-"""Random-shift augmentation of observation windows (pad + random crop).
+"""Random-shift augmentation of batches of observation windows (pad +
+random crop).
 
-All frames inside one window move by the same offset so the stack stays
-temporally coherent; the two windows of a transition get independent
-draws. Vector windows pass through unchanged.
+Each sample of a (B, d, H, W) batch moves by its own offset, and all d
+frames inside one window move by that same offset so the stack stays
+temporally coherent. The two windows of a transition get independent
+draws. Vector batches (B, d, n) pass through unchanged.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ logger = logging.getLogger(__name__)
 _warned_vector = False
 
 
-def _is_image_window(window):
-    return np.asarray(window).ndim >= 3
-
-
 def _note_vector_identity():
     global _warned_vector
     if not _warned_vector:
@@ -26,31 +24,18 @@ def _note_vector_identity():
         _warned_vector = True
 
 
-def random_shift(window, pad, rng):
-    """Shift an image window (d, H, W) by one offset drawn uniformly from
-    {-pad..pad}^2, with replicate-edge padding."""
-    if pad < 0:
-        raise ValueError("pad must be >= 0")
-    window = np.asarray(window)
-    if not _is_image_window(window):
-        _note_vector_identity()
-        return window
-    if pad == 0:
-        return window
-    d, h, w = window.shape
-    padded = np.pad(window, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
-    oy, ox = rng.integers(0, 2 * pad + 1, size=2)
-    return padded[:, oy:oy + h, ox:ox + w]
-
-
-def augment_pair(window_t, window_t1, pad, rng):
-    """Independently augmented (window_t, window_t1)."""
-    return random_shift(window_t, pad, rng), random_shift(window_t1, pad, rng)
+def augment_pair(windows_t, windows_t1, pad, rng):
+    """Independently augmented batches (windows_t, windows_t1)."""
+    return (random_shift_batch(windows_t, pad, rng),
+            random_shift_batch(windows_t1, pad, rng))
 
 
 def random_shift_batch(windows, pad, rng):
-    """Per-sample random shifts for a batch (B, d, H, W); identity for
-    vector batches (B, d, n)."""
+    """Shift every window of a batch (B, d, H, W) by its own offset drawn
+    uniformly from {-pad..pad}^2, with replicate-edge padding; identity
+    for vector batches (B, d, n)."""
+    if pad < 0:
+        raise ValueError("pad must be >= 0")
     windows = np.asarray(windows)
     if windows.ndim < 4:
         _note_vector_identity()

@@ -15,9 +15,12 @@ LOG_OFFSET = 1e-8    # added inside log() so adversarial losses never hit -inf
 NORM_OFFSET = 1e-12  # inside the sqrt of l2norm, keeps its gradient finite at 0
 
 PUBLIC_KINDS = frozenset({
-    "add", "mul", "matmul", "affine", "tanh", "relu", "sigmoid", "log",
-    "square", "sum", "mean", "concat", "clip", "l2norm",
+    "add", "mul", "div", "matmul", "affine", "tanh", "relu", "sigmoid", "log",
+    "square", "sum", "mean", "concat", "clip", "l2norm", "reshape", "im2col",
 })
+# attributes a public kind cannot run without
+_REQUIRED_ATTRS = {"clip": ("lo", "hi"), "reshape": ("shape",),
+                   "im2col": ("kh", "kw", "stride")}
 
 
 class ShapeMismatchError(ValueError):
@@ -83,7 +86,7 @@ class TensorNode:
         return _as_node(other) + (-self)
 
     def __truediv__(self, other):
-        return _apply_private("div", [self, _as_node(other)])
+        return apply("div", [self, other])
 
     def __matmul__(self, other):
         return apply("matmul", [self, _as_node(other)])
@@ -173,9 +176,6 @@ class _EagerExec:
     def col2im(self, a, x_shape, kh, kw, stride):
         return _col2im_values(self.v(a), x_shape, kh, kw, stride)
 
-    def unbroadcast(self, g, shape):
-        return _unbroadcast_values(self.v(g), shape)
-
 
 class _GraphExec:
     graph = True
@@ -221,30 +221,19 @@ class _GraphExec:
         return _apply_private("col2im", [self.v(a)], x_shape=tuple(x_shape),
                               kh=kh, kw=kw, stride=stride)
 
-    def unbroadcast(self, g, shape):
-        g = self.v(g)
-        if g.shape == tuple(shape):
-            return g
-        # sum away broadcast axes, mirroring numpy's broadcast rules
-        extra = len(g.shape) - len(shape)
-        if extra > 0:
-            g = self.sum(g, axis=tuple(range(extra)))
-        axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-        if axes:
-            g = self.sum(g, axis=axes, keepdims=True)
-        return self.reshape(g, shape)
 
-
-def _unbroadcast_values(g, shape):
+def _unbroadcast(E, g, shape):
+    """Sum a gradient of a broadcast result back to an input's shape,
+    mirroring numpy's broadcast rules, with either executor."""
     if g.shape == tuple(shape):
         return g
-    extra = g.ndim - len(shape)
+    extra = len(g.shape) - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = E.sum(g, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+        g = E.sum(g, axis=axes, keepdims=True)
+    return E.reshape(g, shape)
 
 
 def _im2col_values(x, kh, kw, stride):
@@ -283,7 +272,7 @@ def _fw_add(attrs, a, b):
 
 def _vjp_add(E, g, inputs, out):
     a, b = inputs
-    return (E.unbroadcast(g, a.shape), E.unbroadcast(g, b.shape))
+    return (_unbroadcast(E, g, a.shape), _unbroadcast(E, g, b.shape))
 
 
 def _fw_mul(attrs, a, b):
@@ -292,8 +281,8 @@ def _fw_mul(attrs, a, b):
 
 def _vjp_mul(E, g, inputs, out):
     a, b = inputs
-    return (E.unbroadcast(E.mul(g, b), a.shape),
-            E.unbroadcast(E.mul(g, a), b.shape))
+    return (_unbroadcast(E, E.mul(g, b), a.shape),
+            _unbroadcast(E, E.mul(g, a), b.shape))
 
 
 def _fw_div(attrs, a, b):
@@ -302,8 +291,8 @@ def _fw_div(attrs, a, b):
 
 def _vjp_div(E, g, inputs, out):
     a, b = inputs
-    ga = E.unbroadcast(E.div(g, b), a.shape)
-    gb = E.unbroadcast(E.neg(E.div(E.mul(g, out), b)), b.shape)
+    ga = _unbroadcast(E, E.div(g, b), a.shape)
+    gb = _unbroadcast(E, E.neg(E.div(E.mul(g, out), b)), b.shape)
     return (ga, gb)
 
 
@@ -349,13 +338,18 @@ def _vjp_relu(E, g, inputs, out):
     return (E.mul(g, mask),)
 
 
-def _fw_sigmoid(attrs, x):
+def sigmoid_values(x):
+    """Logistic function of an array, without overflow for large |x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _fw_sigmoid(attrs, x):
+    return sigmoid_values(x)
 
 
 def _vjp_sigmoid(E, g, inputs, out):
@@ -467,8 +461,8 @@ def _fw_minimum(attrs, a, b):
 def _vjp_minimum(E, g, inputs, out):
     a, b = inputs
     mask = (a.values <= b.values).astype(a.values.dtype)
-    return (E.unbroadcast(E.mul(g, mask), a.shape),
-            E.unbroadcast(E.mul(g, 1.0 - mask), b.shape))
+    return (_unbroadcast(E, E.mul(g, mask), a.shape),
+            _unbroadcast(E, E.mul(g, 1.0 - mask), b.shape))
 
 
 def _fw_transpose(attrs, x):
@@ -569,8 +563,9 @@ def apply(kind, inputs, **attrs):
     """Build a graph node for one of the public operation kinds."""
     if kind not in PUBLIC_KINDS:
         raise ValueError(f"unknown operation kind: {kind!r}")
-    if kind == "clip" and ("lo" not in attrs or "hi" not in attrs):
-        raise ValueError("clip needs lo= and hi=")
+    required = _REQUIRED_ATTRS.get(kind)
+    if required and not all(a in attrs for a in required):
+        raise ValueError(f"{kind} needs " + " and ".join(f"{a}=" for a in required))
     inputs = [_as_node(x) for x in inputs]
     return _apply_private(kind, inputs, **attrs)
 

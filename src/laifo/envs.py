@@ -158,18 +158,6 @@ class PendulumPO:
         return np.array([np.cos(self._theta), np.sin(self._theta)])
 
 
-def reset(env, seed=None):
-    return env.reset(seed)
-
-
-def step(env, a):
-    return env.step(a)
-
-
-def privileged_state(env):
-    return env.privileged_state()
-
-
 class FullyObservableWrapper:
     """Exposes the privileged state as the observation (for the fully
     observable learners)."""
@@ -179,6 +167,10 @@ class FullyObservableWrapper:
         self.act_dim = env.act_dim
         self.episode_limit = env.episode_limit
         self.r_max = env.r_max
+
+    @property
+    def env_id(self):
+        return self.env.env_id
 
     @property
     def obs_shape(self):
@@ -312,18 +304,36 @@ def parse_tabular_id(env_id):
     return structure, sizes["s"], sizes["a"], sizes["x"]
 
 
+_POINTMASS_VIEWS = {"pointmass-v": ("vector", 32), "pointmass-px32": ("pixel", 32),
+                    "pointmass-px84": ("pixel", 84)}
+
+
 def make_env(env_id, seed=0, reward_mode="dense"):
-    if env_id == "pointmass-v":
-        return PointMass(seed=seed, obs_mode="vector", reward_mode=reward_mode)
-    if env_id == "pointmass-px32":
-        return PointMass(seed=seed, obs_mode="pixel", image_size=32,
-                         reward_mode=reward_mode)
-    if env_id == "pointmass-px84":
-        return PointMass(seed=seed, obs_mode="pixel", image_size=84,
-                         reward_mode=reward_mode)
-    if env_id == "pendulum-po":
-        return PendulumPO(seed=seed, reward_mode=reward_mode)
-    if env_id.startswith("tabular:"):
+    """Build an environment by id and stamp the id on it as `env_id`.
+
+    Training and evaluation code never copies an environment object; it
+    rebuilds one from `env_id` with `clone`, so pass environments that
+    come from here.
+    """
+    if env_id in _POINTMASS_VIEWS:
+        obs_mode, image_size = _POINTMASS_VIEWS[env_id]
+        env = PointMass(seed=seed, obs_mode=obs_mode, image_size=image_size,
+                        reward_mode=reward_mode)
+    elif env_id == "pendulum-po":
+        env = PendulumPO(seed=seed, reward_mode=reward_mode)
+    elif env_id.startswith("tabular:"):
         structure, s, a, x = parse_tabular_id(env_id)
-        return make_tabular(structure, s, a, x, seed=seed)
-    raise ValueError(f"unknown environment id {env_id!r}")
+        env = make_tabular(structure, s, a, x, seed=seed)
+    else:
+        raise ValueError(f"unknown environment id {env_id!r}")
+    env.env_id = env_id
+    return env
+
+
+def clone(env):
+    """A fresh copy of a `make_env` environment (seed 0), rebuilt from its
+    `env_id` with the same reward mode and, if present, the same
+    FullyObservableWrapper."""
+    if isinstance(env, FullyObservableWrapper):
+        return FullyObservableWrapper(clone(env.env))
+    return make_env(env.env_id, reward_mode=env.reward_mode)

@@ -1,18 +1,20 @@
-"""Train expert policies on the privileged full state and record
-observation-only (or observation-action) datasets."""
+"""Privileged experts and their datasets.
+
+The expert is the imitation learner's own off-policy actor-critic run by
+`imitate.train` in a private mode: full state, environment reward, no
+discriminator. `record` rolls a trained expert out on fresh copies of a
+`make_env` environment and packs observation-only (or
+observation-action) datasets.
+"""
 
 from __future__ import annotations
 
-import time
-from dataclasses import replace
-
 import numpy as np
 
-from . import nets
-from .envs import FullyObservableWrapper
-from .imitate import (ReportRow, TrainReport, build_bundle, sigma_schedule,
-                      update_actor, update_critic)
-from .replay import Episode, ExpertDataset, ReplayBuffer
+from .envs import FullyObservableWrapper, clone
+from .imitate import EXPERT, WindowPolicy, evaluate, train
+from .imitate import update_critic  # noqa: F401  re-exported; trainbench traces it here
+from .replay import Episode, ExpertDataset
 
 
 class StatePolicy:
@@ -26,84 +28,19 @@ class StatePolicy:
 
 
 def train_expert(env, frames, cfg):
-    """Deterministic-policy gradient training on the full state with the
-    environment reward; no encoder, no discriminator. Returns a report
-    whose bundle holds the trained policy and whose last row carries the
-    expert's eval score."""
-    if not isinstance(env, FullyObservableWrapper):
-        env = FullyObservableWrapper(env)
-    cfg = replace(cfg, d=1, frames=max(frames, 1))
-    rng = np.random.default_rng(cfg.seed)
-    bundle = build_bundle(cfg, env.obs_shape, env.act_dim, "transition", rng,
-                          encoder=False, with_disc=False)
-    buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
-    report = TrainReport(algo="expert-ddpg", env_id=type(env.env).__name__,
-                         seed=cfg.seed, bundle=bundle)
-
-    state = env.reset(seed=cfg.seed)
-    buffer.push(state, None)
-    episode = 0
-    start = time.perf_counter()
-    critic_loss = actor_loss = 0.0
-    for t in range(1, frames + 1):
-        sigma_t = sigma_schedule(cfg, t)
-        if t <= cfg.warmup:
-            a = rng.uniform(-1.0, 1.0, env.act_dim)
-        else:
-            a = nets.act(bundle.actor, state[None], sigma_t, None, rng)[0]
-        state, r, done = env.step(a)
-        buffer.push(state, a, r, done)
-        if done:
-            episode += 1
-            state = env.reset()
-            buffer.push(state, None)
-        if t > cfg.warmup:
-            batch = buffer.sample_stacked(cfg.batch, 1, rng)
-            critic_loss, _ = update_critic(bundle, batch, cfg, sigma_t, rng,
-                                           use_env_reward=True)
-            actor_loss = update_actor(bundle, batch.windows, cfg, sigma_t, rng)
-        if t % cfg.eval_interval == 0 or t == frames:
-            score = evaluate_expert(env, bundle, cfg.eval_episodes,
-                                    seed=(cfg.seed + 1) * 1_000_003)
-            report.rows.append(ReportRow(
-                frame=t, episode=episode, eval_return=score,
-                disc_loss=0.0, critic_loss=critic_loss, actor_loss=actor_loss,
-                imit_reward_mean=0.0,
-                wall_clock_s=time.perf_counter() - start, seed=cfg.seed))
-    if frames == 0:
-        score = evaluate_expert(env, bundle, cfg.eval_episodes,
-                                seed=(cfg.seed + 1) * 1_000_003)
-        report.rows.append(ReportRow(0, 0, score, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                     cfg.seed))
+    """Train the expert for `frames` environment steps on the privileged
+    state of `env` (a `make_env` environment; evaluation rebuilds copies
+    from its `env_id`). Returns the report of `imitate.train`: its bundle
+    holds the trained policy and `expert_score` is the last row's eval
+    return. A budget of 0 evaluates the initial policy once, at frame 0."""
+    report = train(EXPERT, env, None, cfg, frames=frames)
     report.expert_score = report.rows[-1].eval_return
     return report
 
 
 def evaluate_expert(env, bundle, episodes, seed):
-    """Mean return of the deterministic state policy over fresh episodes."""
-    policy = StatePolicy(bundle)
-    total = 0.0
-    for k in range(episodes):
-        e = _fresh(env)
-        s = e.reset(seed=seed + k)
-        done = False
-        while not done:
-            s, r, done = e.step(policy.action(s))
-            total += r
-    return total / episodes
-
-
-def _fresh(env):
-    base = env.env if isinstance(env, FullyObservableWrapper) else env
-    kwargs = {"seed": 0}
-    if hasattr(base, "obs_mode"):
-        kwargs["obs_mode"] = base.obs_mode
-        kwargs["image_size"] = base.image_size
-    if hasattr(base, "reward_mode"):
-        kwargs["reward_mode"] = base.reward_mode
-    fresh = type(base)(**kwargs)
-    return FullyObservableWrapper(fresh) if isinstance(env, FullyObservableWrapper) \
-        else fresh
+    """Mean return of the deterministic state policy over fresh copies of env."""
+    return evaluate(env, WindowPolicy(bundle, 1), episodes, seed)
 
 
 def record(env, policy, n_episodes, with_actions=True, seed=0,
@@ -117,8 +54,8 @@ def record(env, policy, n_episodes, with_actions=True, seed=0,
     base = env.env if isinstance(env, FullyObservableWrapper) else env
     obs_shape = (base.state_dim,) if use_privileged else base.obs_shape
     episodes = []
+    e = clone(base)
     for k in range(n_episodes):
-        e = _fresh(base)
         first = e.reset(seed=seed + k)
         obs = [e.privileged_state() if use_privileged else first]
         acts, rews = [], []
@@ -134,7 +71,7 @@ def record(env, policy, n_episodes, with_actions=True, seed=0,
             actions=np.asarray(acts, dtype=np.float32) if with_actions else None,
             rewards=np.asarray(rews, dtype=np.float32),
         ))
-    ds = ExpertDataset(env_id or type(base).__name__, obs_shape,
+    ds = ExpertDataset(env_id or base.env_id, obs_shape,
                        (base.act_dim,), episodes)
     ds.validate()
     return ds

@@ -9,7 +9,6 @@ a stop-gradient.
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -17,12 +16,17 @@ import numpy as np
 
 from . import augment, nets
 from .autodiff import apply, backward, input_gradient, minimum, tensor
-from .envs import FullyObservableWrapper
+from .envs import FullyObservableWrapper, clone
 from .replay import ExpertWindowSampler, ReplayBuffer
 
 ALGOS = ("laifo", "lail", "dacfo", "dac", "bc", "rl_plus_videos")
+# The privileged expert: the same learner on the full state with the
+# environment reward and no discriminator. `expertgen.train_expert` runs
+# it; it is not in ALGOS, so the imitation CLI does not offer it.
+EXPERT = "expert-ddpg"
 _ACTION_ALGOS = ("lail", "dac", "bc")
-_FULL_STATE_ALGOS = ("dac", "dacfo")
+_FULL_STATE_ALGOS = ("dac", "dacfo", EXPERT)
+_ENV_REWARD_ALGOS = ("rl_plus_videos", EXPERT)
 
 METRICS_HEADER = ("frame", "episode", "eval_return", "disc_loss", "critic_loss",
                   "actor_loss", "imit_reward_mean", "wall_clock_s", "seed")
@@ -109,7 +113,7 @@ class ReportRow:
 @dataclass
 class TrainReport:
     algo: str
-    env_id: str
+    env_id: str  # the make_env id, e.g. "pointmass-v"
     seed: int
     rows: list[ReportRow] = field(default_factory=list)
     expert_score: float | None = None
@@ -143,11 +147,6 @@ class TrainReport:
         finally:
             if close:
                 path_or_buf.close()
-
-    def csv_text(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 class Adam:
@@ -387,11 +386,13 @@ class WindowPolicy:
         return self.bundle.actor.values(z)[0]
 
 
-def evaluate(env_factory, policy, episodes, seed):
-    """Mean undiscounted return of the deterministic policy."""
+def evaluate(env, policy, episodes, seed):
+    """Mean undiscounted return of the deterministic policy over episodes
+    seeded `seed + k`, on a fresh copy of `env` (`envs.clone`), so the
+    caller's environment is left as it was."""
+    env = clone(env)
     total = 0.0
     for k in range(episodes):
-        env = env_factory()
         obs = env.reset(seed=seed + k)
         policy.reset(obs)
         done = False
@@ -406,27 +407,24 @@ def evaluate(env_factory, policy, episodes, seed):
 # Trainers
 # ---------------------------------------------------------------------------
 
-def _spawn(env, seed):
-    cls = type(env)
-    if isinstance(env, FullyObservableWrapper):
-        return FullyObservableWrapper(_spawn(env.env, seed))
-    kwargs = {"seed": seed}
-    if hasattr(env, "obs_mode"):
-        kwargs["obs_mode"] = env.obs_mode
-        kwargs["image_size"] = env.image_size
-    if hasattr(env, "reward_mode"):
-        kwargs["reward_mode"] = env.reward_mode
-    return cls(**kwargs)
-
-
 def _check_capabilities(algo, env, expert_data):
-    if algo not in ALGOS:
+    """Refuse pairings the learner cannot train, and return the environment
+    as the learner sees it (the privileged state for full-state learners)."""
+    if algo not in ALGOS and algo != EXPERT:
         raise CapabilityError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
+    if not hasattr(env, "env_id"):
+        raise ValueError("train on environments built by envs.make_env")
+    if env.env_id.startswith("tabular:"):
+        raise CapabilityError(
+            f"{env.env_id} is an exact model for verify-theory and cannot be "
+            f"stepped; train on one of the control environments")
+    if algo in _FULL_STATE_ALGOS and not isinstance(env, FullyObservableWrapper):
+        env = FullyObservableWrapper(env)
     if algo in _ACTION_ALGOS:
         if expert_data is None or not expert_data.has_actions:
             raise CapabilityError(
                 f"{algo}: expert actions required, but the dataset has none")
-    if algo != "bc" and algo not in ("rl_plus_videos",) and expert_data is None:
+    if algo not in _ENV_REWARD_ALGOS and expert_data is None:
         raise CapabilityError(f"{algo} requires an expert dataset")
     if expert_data is not None:
         want = env.obs_shape
@@ -435,27 +433,30 @@ def _check_capabilities(algo, env, expert_data):
                 f"expert dataset observations {tuple(expert_data.obs_shape)} do not "
                 f"match the environment's {tuple(want)} (fully observable learners "
                 f"need state-recorded datasets)")
+    return env
 
 
-def train(algo, env, expert_data, cfg, out_dir=None):
+def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     """Run one training job and return its TrainReport.
 
-    `env` is consumed for interaction; evaluation uses fresh copies. For
-    the fully observable learners pass the environment already wrapped so
-    observations are privileged states.
+    `env` must come from `envs.make_env`. It is consumed for interaction;
+    every evaluation episode runs on a fresh copy rebuilt from its
+    `env_id` (`envs.clone`). The fully observable learners see the
+    privileged state; an unwrapped environment is wrapped for them.
+    `frames`, when given, replaces `cfg.frames`; a budget of 0 only
+    evaluates the initial policy, in one row at frame 0.
     """
+    env = _check_capabilities(algo, env, expert_data)
     if algo == "bc":
-        _check_capabilities(algo, env, expert_data)
         return train_bc(env, expert_data, cfg)
-    if algo in _FULL_STATE_ALGOS and not isinstance(env, FullyObservableWrapper):
-        env = FullyObservableWrapper(env)
-    _check_capabilities(algo, env, expert_data)
 
     fully_obs = algo in _FULL_STATE_ALGOS
+    expert = algo == EXPERT
     pairing = "action" if algo in ("lail", "dac") else "transition"
     pixel = len(env.obs_shape) == 2
     d = 1 if fully_obs else cfg.d
-    cfg = replace(cfg, d=d)
+    frames = cfg.frames if frames is None else frames
+    cfg = replace(cfg, d=d, frames=max(frames, 1))
 
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, pairing, rng,
@@ -463,10 +464,9 @@ def train(algo, env, expert_data, cfg, out_dir=None):
                           with_disc=expert_data is not None)
     buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
     sampler = ExpertWindowSampler(expert_data, d) if expert_data is not None else None
-    use_env_reward = algo == "rl_plus_videos"
+    use_env_reward = algo in _ENV_REWARD_ALGOS
 
-    report = TrainReport(algo=algo, env_id=getattr(env, "env_id", type(env).__name__),
-                         seed=cfg.seed)
+    report = TrainReport(algo=algo, env_id=env.env_id, seed=cfg.seed, bundle=bundle)
     if expert_data is not None and expert_data.has_rewards:
         report.expert_score = expert_data.mean_return()
 
@@ -479,7 +479,17 @@ def train(algo, env, expert_data, cfg, out_dir=None):
     disc_loss = critic_loss = actor_loss = 0.0
     imit_sum, imit_n = 0.0, 0
 
-    for t in range(1, cfg.frames + 1):
+    def eval_row(t):
+        # the expert is scored on the same episodes at every evaluation
+        ret = evaluate(env, WindowPolicy(bundle, d), cfg.eval_episodes,
+                       seed=(cfg.seed + 1) * 1_000_003 + (0 if expert else t))
+        return ReportRow(
+            frame=t, episode=episode, eval_return=ret,
+            disc_loss=disc_loss, critic_loss=critic_loss, actor_loss=actor_loss,
+            imit_reward_mean=0.0 if expert else imit_sum / max(imit_n, 1),
+            wall_clock_s=time.perf_counter() - start, seed=cfg.seed)
+
+    for t in range(1, frames + 1):
         sigma_t = sigma_schedule(cfg, t)
         if t <= cfg.warmup:
             a = rng.uniform(-1.0, 1.0, env.act_dim)
@@ -506,21 +516,14 @@ def train(algo, env, expert_data, cfg, out_dir=None):
             imit_n += 1
             actor_loss = update_actor(bundle, batch.windows, cfg, sigma_t, rng, pixel)
 
-        if t % cfg.eval_interval == 0 or t == cfg.frames:
-            policy = WindowPolicy(bundle, d)
-            ret = evaluate(lambda: _spawn(env, 0), policy, cfg.eval_episodes,
-                           seed=(cfg.seed + 1) * 1_000_003 + t)
-            report.rows.append(ReportRow(
-                frame=t, episode=episode, eval_return=ret,
-                disc_loss=disc_loss, critic_loss=critic_loss,
-                actor_loss=actor_loss,
-                imit_reward_mean=imit_sum / max(imit_n, 1),
-                wall_clock_s=time.perf_counter() - start, seed=cfg.seed))
+        if t % cfg.eval_interval == 0 or t == frames:
+            report.rows.append(eval_row(t))
             imit_sum, imit_n = 0.0, 0
-            if cfg.stop_at_return and ret >= cfg.stop_at_return:
+            if cfg.stop_at_return and report.rows[-1].eval_return >= cfg.stop_at_return:
                 break
+    if frames == 0:
+        report.rows.append(eval_row(0))
 
-    report.bundle = bundle
     if out_dir is not None:
         _write_run_dir(out_dir, report, bundle, cfg)
     return report
@@ -553,8 +556,7 @@ def train_bc(env, expert_data, cfg):
     sampler = ExpertWindowSampler(expert_data, cfg.d)
     params = bundle.actor.params() + bundle.enc.params()
     opt = Adam(params, cfg.lr)
-    report = TrainReport(algo="bc", env_id=getattr(env, "env_id", type(env).__name__),
-                         seed=cfg.seed)
+    report = TrainReport(algo="bc", env_id=env.env_id, seed=cfg.seed, bundle=bundle)
     if expert_data.has_rewards:
         report.expert_score = expert_data.mean_return()
     start = time.perf_counter()
@@ -568,21 +570,13 @@ def train_bc(env, expert_data, cfg):
         loss_value = loss.values.item()
         if step % cfg.eval_interval == 0 or step == cfg.bc_steps:
             policy = WindowPolicy(bundle, cfg.d)
-            ret = evaluate(lambda: _spawn(env, 0), policy, cfg.eval_episodes,
+            ret = evaluate(env, policy, cfg.eval_episodes,
                            seed=(cfg.seed + 1) * 1_000_003 + step)
             report.rows.append(ReportRow(
                 frame=step, episode=0, eval_return=ret, disc_loss=0.0,
                 critic_loss=0.0, actor_loss=loss_value, imit_reward_mean=0.0,
                 wall_clock_s=time.perf_counter() - start, seed=cfg.seed))
-    report.bundle = bundle
     return report
-
-
-def bc_loss_value(bundle, wins, acts):
-    """Current BC regression loss on a fixed batch (diagnostic)."""
-    z = bundle.enc.values(wins)
-    pred = bundle.actor.values(z)
-    return float(np.mean((pred - acts) ** 2))
 
 
 def _write_run_dir(out_dir, report, bundle, cfg):

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import TensorNode, apply, tensor
+from .autodiff import TensorNode, apply, sigmoid_values, tensor
 
 CKPT_MAGIC = b"LAIFO-CKPT1"
 
@@ -62,11 +62,18 @@ class Mlp:
                 h = self._act_node(h)
         return h
 
-    def values(self, x):
+    def values(self, x, params=None):
+        """Plain-numpy forward pass. `params` (weight arrays then bias
+        arrays, as `params()` orders them) stands in for the live values,
+        e.g. for target copies."""
         h = np.asarray(x)
         n = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.values + b.values
+        for i in range(n):
+            if params is None:  # no list is built on the acting path
+                w, b = self.weights[i].values, self.biases[i].values
+            else:
+                w, b = params[i], params[n + i]
+            h = h @ w + b
             if i < n - 1:
                 h = self._act_values(h)
         return h
@@ -79,11 +86,11 @@ def _normalize_node(h, z_dim):
     # feature standardization then tanh: keeps the latent cloud at unit
     # scale so a norm-1 gradient penalty does not flatten the discriminator
     b = h.shape[0]
-    mu = ad._apply_private("reshape", [apply("mean", [h], axis=1)], shape=(b, 1))
+    mu = apply("reshape", [apply("mean", [h], axis=1)], shape=(b, 1))
     c = h - mu
-    rms = ad._apply_private(
-        "reshape", [apply("l2norm", [c], axis=1)], shape=(b, 1)) * (1.0 / np.sqrt(z_dim))
-    return apply("tanh", [ad._apply_private("div", [c, rms])])
+    rms = apply("reshape", [apply("l2norm", [c], axis=1)],
+                shape=(b, 1)) * (1.0 / np.sqrt(z_dim))
+    return apply("tanh", [apply("div", [c, rms])])
 
 
 def _normalize_values(h):
@@ -182,13 +189,11 @@ class PixelEncoder:
         side = self.image_size
         h = tensor(x)
         for w, bias in zip(self.conv_w, self.conv_b):
-            cols = ad._apply_private("im2col", [h], kh=self.KH, kw=self.KW,
-                                     stride=self.STRIDE)
+            cols = apply("im2col", [h], kh=self.KH, kw=self.KW, stride=self.STRIDE)
             out = apply("relu", [apply("affine", [cols, w, bias])])
             side = (side - self.KH) // self.STRIDE + 1
-            h = ad._apply_private("reshape", [out],
-                                  shape=(b, side, side, w.shape[1]))
-        flat = ad._apply_private("reshape", [h], shape=(b, h.size // b))
+            h = apply("reshape", [out], shape=(b, side, side, w.shape[1]))
+        flat = apply("reshape", [h], shape=(b, h.size // b))
         head = apply("affine", [flat, self.head_w, self.head_b])
         return _normalize_node(head, self.z_dim)
 
@@ -207,11 +212,6 @@ class PixelEncoder:
 
     def params(self):
         return self.conv_w + self.conv_b + [self.head_w, self.head_b]
-
-
-def encode(enc, window):
-    """Latent for a single observation window (no gradient path)."""
-    return enc.values(window)
 
 
 class Actor:
@@ -270,8 +270,7 @@ class TwinCritics:
         x = np.concatenate([np.atleast_2d(z), np.atleast_2d(a)], axis=1)
         if not use_target:
             return self.q1.values(x)[:, 0], self.q2.values(x)[:, 0]
-        return (_mlp_values_from(self.q1, self.t1, x)[:, 0],
-                _mlp_values_from(self.q2, self.t2, x)[:, 0])
+        return self.q1.values(x, self.t1)[:, 0], self.q2.values(x, self.t2)[:, 0]
 
     def soft_update(self, tau):
         if not 0.0 <= tau <= 1.0:
@@ -283,26 +282,6 @@ class TwinCritics:
 
     def params(self):
         return self.q1.params() + self.q2.params()
-
-
-def _mlp_values_from(mlp, flat_params, x):
-    n = len(mlp.weights)
-    ws, bs = flat_params[:n], flat_params[n:]
-    h = np.asarray(x)
-    for i, (w, b) in enumerate(zip(ws, bs)):
-        h = h @ w + b
-        if i < n - 1:
-            h = mlp._act_values(h)
-    return h
-
-
-def q_values(critics, z, a, use_target=False):
-    q1, q2 = critics.values(z, a, use_target=use_target)
-    return q1, q2
-
-
-def soft_update(critics, tau):
-    critics.soft_update(tau)
 
 
 class Discriminator:
@@ -343,12 +322,7 @@ class Discriminator:
 
 def discriminate(disc, left, right):
     """Probability the pair came from the expert; strictly inside (0, 1)."""
-    s = disc.score_values(left, right)
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    ex = np.exp(s[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = sigmoid_values(disc.score_values(left, right))
     return np.clip(out, np.finfo(out.dtype).tiny, 1.0 - np.finfo(out.dtype).epsneg)
 
 

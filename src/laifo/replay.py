@@ -134,9 +134,6 @@ class ReplayBuffer:
             out[:, k] = cur
         return out
 
-    def _window(self, end, d):
-        return self._window_indices(np.array([end]), d)[0]
-
     def sample_stacked(self, batch, d, rng):
         if d < 1:
             raise ValueError("d must be >= 1")
@@ -148,14 +145,6 @@ class ReplayBuffer:
         nxt_wins = self._obs[self._window_indices(succ, d)]
         return StackedBatch(wins, self._act[succ].copy(), self._rew[succ].copy(),
                             nxt_wins)
-
-
-def push(buffer, observation, action=None, reward=0.0, done=False):
-    buffer.push(observation, action, reward, done)
-
-
-def sample_stacked(buffer, batch, d, rng):
-    return buffer.sample_stacked(batch, d, rng)
 
 
 # ---------------------------------------------------------------------------

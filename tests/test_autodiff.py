@@ -139,7 +139,26 @@ _KIND_CASES = {
                lambda ps: apply("sum", [apply("square", [apply("concat", ps, axis=1)])])),
     "clip": ([(6,)], lambda ps: apply("sum", [apply("square", [apply("clip", ps, lo=-0.5, hi=0.5)])])),
     "l2norm": ([(4, 3)], lambda ps: apply("sum", [apply("l2norm", ps, axis=1)])),
+    "div": ([(3, 2), (3, 2)],
+            lambda ps: apply("sum", [apply("div", [ps[0], apply("square", [ps[1]]) + 0.5])])),
+    # position-dependent weights catch a reshape that scrambles the order
+    "reshape": ([(4, 3)], lambda ps: apply("sum", [apply("square", [
+        apply("reshape", ps, shape=(2, 6))]) * np.arange(12.0).reshape(2, 6)])),
+    # overlapping 3x3 stride-2 patches: col2im must accumulate the overlaps
+    "im2col": ([(1, 5, 5, 2)], lambda ps: apply("sum", [apply("square", [
+        apply("im2col", ps, kh=3, kw=3, stride=2)])])),
 }
+
+
+def test_every_public_kind_has_a_gradient_case():
+    assert set(_KIND_CASES) == ad.PUBLIC_KINDS
+
+
+def test_missing_attributes_rejected():
+    with pytest.raises(ValueError, match="reshape needs shape="):
+        apply("reshape", [tensor(np.ones((2, 3)))])
+    with pytest.raises(ValueError, match="clip needs lo= and hi="):
+        apply("clip", [tensor([1.0])], lo=0.0)
 
 
 @pytest.mark.parametrize("kind", sorted(_KIND_CASES))

@@ -126,6 +126,21 @@ def test_cli_lail_without_actions_exits_2(tmp_path, capsys):
     assert "expert actions required" in capsys.readouterr().err
 
 
+def test_cli_tabular_env_exits_2(tmp_path, capsys):
+    from laifo.replay import Episode, ExpertDataset, save_dataset
+    data_path = tmp_path / "tiny.laifo"
+    obs = np.zeros((3, 2), dtype=np.float32)
+    save_dataset(ExpertDataset("pointmass-v", (2,), (2,), [
+        Episode(obs, np.zeros((2, 2), dtype=np.float32),
+                np.zeros(2, dtype=np.float32))]), data_path)
+    for algo in ("rl_plus_videos", "bc"):
+        code = run(["imitate", "--algo", algo, "--env", "tabular:mdp-s4-a2",
+                    "--expert-data", str(data_path), "--out-dir",
+                    str(tmp_path / "x"), "--frames", "50"])
+        assert code == 2
+        assert "tabular:mdp-s4-a2" in capsys.readouterr().err
+
+
 def test_report_requires_expert_score(tmp_path):
     run_dir = tmp_path / "r"
     os.makedirs(run_dir)

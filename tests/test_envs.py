@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from laifo import envs
-from laifo.envs import (EpisodeDone, FullyObservableWrapper, PointMass,
-                        make_env, make_tabular, parse_tabular_id)
+from laifo.envs import (ENV_IDS, EpisodeDone, FullyObservableWrapper, PointMass,
+                        clone, make_env, make_tabular, parse_tabular_id)
 
 
 def test_reset_deterministic_per_seed():
@@ -109,6 +109,21 @@ def test_fully_observable_wrapper_exposes_state():
     assert s.shape == (4,)
     s1, r, done = env.step(np.array([0.3, -0.2]))
     assert np.array_equal(s1, env.privileged_state())
+
+
+def test_clone_rebuilds_from_env_id():
+    for env_id in ENV_IDS:
+        env = make_env(env_id, seed=5, reward_mode="sparse")
+        copy = clone(env)
+        assert type(copy) is type(env) and copy is not env
+        assert (copy.env_id, copy.reward_mode, copy.obs_shape) == \
+            (env_id, "sparse", env.obs_shape)
+        assert np.array_equal(copy.reset(seed=9), clone(env).reset(seed=9))
+    sparse = make_env("pendulum-po", reward_mode="sparse")
+    wrapped = clone(FullyObservableWrapper(sparse))
+    assert isinstance(wrapped, FullyObservableWrapper)
+    assert wrapped.env_id == "pendulum-po" and wrapped.env.reward_mode == "sparse"
+    assert wrapped.reset(seed=1).shape == (2,)
 
 
 def test_make_tabular_mdp_identity_observation():

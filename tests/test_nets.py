@@ -5,7 +5,7 @@ from laifo import nets
 from laifo.autodiff import apply, backward, finite_diff_check, tensor
 from laifo.nets import (Actor, Discriminator, PixelEncoder, TwinCritics,
                         VectorEncoder, act, discriminate, load_checkpoint,
-                        q_values, save_checkpoint, soft_update)
+                        save_checkpoint)
 
 
 def make_rng(seed=0):
@@ -93,9 +93,9 @@ def test_critics_zero_init_outputs_zero_and_min_property():
     crit = TwinCritics(make_rng(15), z_dim=4, act_dim=2, hidden=8)
     z = make_rng(16).standard_normal((5, 4))
     a = make_rng(17).uniform(-1, 1, (5, 2))
-    q1, q2 = q_values(crit, z, a)
+    q1, q2 = crit.values(z, a)
     assert np.allclose(q1, 0.0) and np.allclose(q2, 0.0)
-    qt1, qt2 = q_values(crit, z, a, use_target=True)
+    qt1, qt2 = crit.values(z, a, use_target=True)
     assert np.array_equal(qt1, q1) and np.array_equal(qt2, q2)
     assert np.all(np.minimum(q1, q2) <= q1) and np.all(np.minimum(q1, q2) <= q2)
 
@@ -106,18 +106,18 @@ def test_soft_update_exact_affine():
         p.values[...] = 1.0
     for t in crit.t1:
         t[...] = 0.0
-    soft_update(crit, 0.01)
+    crit.soft_update(0.01)
     for t in crit.t1:
         assert np.allclose(t, 0.01, atol=0, rtol=0)
-    soft_update(crit, 1.0)
+    crit.soft_update(1.0)
     for t, p in zip(crit.t1, crit.q1.params()):
         assert np.array_equal(t, p.values)
     before = [t.copy() for t in crit.t2]
-    soft_update(crit, 0.0)
+    crit.soft_update(0.0)
     for t, b in zip(crit.t2, before):
         assert np.array_equal(t, b)
     with pytest.raises(ValueError, match="tau"):
-        soft_update(crit, 1.5)
+        crit.soft_update(1.5)
 
 
 def test_discriminator_zero_score_gives_half():
