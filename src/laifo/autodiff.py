@@ -1,10 +1,13 @@
 """Tape-based reverse-mode autodiff on numpy arrays.
 
-The backward pass can optionally be recorded as graph operations, so the
-gradient of a scalar with respect to an input is itself a differentiable
-node (needed to train a discriminator whose loss contains the norm of its
-own input gradient). Tapes are rebuilt per step; recorded values are never
-mutated in place.
+`backward(root, params)` returns the gradients of a scalar with respect
+to the leaves the caller names, in their order; only the vector-Jacobian
+products on a path from the root to one of those leaves are computed.
+The backward pass can also be recorded as graph operations, so the
+gradient of a scalar with respect to an input (`input_gradient`) is itself
+a differentiable node (needed to train a discriminator whose loss contains
+the norm of its own input gradient). Tapes are rebuilt per step; recorded
+values are never mutated in place.
 """
 
 from __future__ import annotations
@@ -37,20 +40,18 @@ class DomainError(ValueError):
 class TensorNode:
     """One value in the computation graph.
 
-    Leaves (op is None) are either constants or parameters
-    (requires_grad=True). Non-leaves record the producing op and inputs;
-    their requires_grad is inherited from the inputs.
+    Leaves (op is None) hold inputs and parameters alike; a backward pass
+    is told which leaves to differentiate. Non-leaves record the producing
+    op and inputs.
     """
 
-    __slots__ = ("values", "op", "inputs", "attrs", "requires_grad", "name")
+    __slots__ = ("values", "op", "inputs", "attrs", "name")
 
-    def __init__(self, values, op=None, inputs=(), attrs=None,
-                 requires_grad=False, name=None):
+    def __init__(self, values, op=None, inputs=(), attrs=None, name=None):
         self.values = values
         self.op = op
         self.inputs = inputs
         self.attrs = attrs
-        self.requires_grad = requires_grad
         self.name = name
 
     @property
@@ -61,69 +62,65 @@ class TensorNode:
     def size(self):
         return self.values.size
 
-    def __repr__(self):
-        kind = self.op if self.op else ("param" if self.requires_grad else "const")
-        return f"TensorNode({kind}, shape={self.shape})"
+    @property
+    def dtype(self):
+        return self.values.dtype
 
-    # Operator sugar; everything routes through apply().
+    def __repr__(self):
+        return f"TensorNode({self.op or 'leaf'}, shape={self.shape})"
+
+    # Operator sugar; everything routes through apply(). A plain number
+    # takes this node's dtype, so float32 graphs stay float32.
     def __add__(self, other):
-        return apply("add", [self, _as_node(other)])
+        return apply("add", [self, _as_node(other, self)])
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        return apply("mul", [self, _as_node(other)])
+        return apply("mul", [self, _as_node(other, self)])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return apply("mul", [self, _as_node(-1.0)])
+        return apply("mul", [self, _as_node(-1.0, self)])
 
     def __sub__(self, other):
-        return self + (-_as_node(other))
+        return self + (-_as_node(other, self))
 
     def __rsub__(self, other):
-        return _as_node(other) + (-self)
+        return _as_node(other, self) + (-self)
 
     def __truediv__(self, other):
-        return apply("div", [self, other])
+        return apply("div", [self, _as_node(other, self)])
 
     def __matmul__(self, other):
         return apply("matmul", [self, _as_node(other)])
 
 
-def tensor(values, requires_grad=False, name=None, dtype=None):
+def tensor(values, name=None, dtype=None):
     """Create a leaf node. Lists/scalars become float64 arrays by default."""
     arr = np.asarray(values, dtype=dtype)
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
-    return TensorNode(arr, requires_grad=requires_grad, name=name)
+    return TensorNode(arr, name=name)
 
 
-def _as_node(x):
+def _as_node(x, like=None):
+    """x as a node; a plain number meeting the node `like` takes its dtype
+    (numpy does not treat a 0-d float64 array as a weak scalar)."""
     if isinstance(x, TensorNode):
         return x
+    if like is not None and np.isscalar(x):
+        return TensorNode(np.asarray(x, dtype=like.dtype))
     return tensor(x)
 
 
-class GradientMap:
-    """Parameter node -> gradient array; zeros for parameters the root
-    never reached."""
-
-    def __init__(self, grads):
-        self._grads = grads  # id(param) -> (param, grad); holds the refs alive
-
-    def get(self, param):
-        entry = self._grads.get(id(param))
-        if entry is None:
-            return np.zeros(param.shape, dtype=param.values.dtype)
-        return entry[1]
-
-    def __contains__(self, param):
-        return id(param) in self._grads
-
-    def items(self):
-        return self._grads.values()
+def _as_nodes(a, b):
+    """[a, b] as nodes; a plain number takes the other operand's dtype."""
+    if isinstance(a, TensorNode):
+        return [a, _as_node(b, a)]
+    b = _as_node(b)
+    return [_as_node(a, b), b]
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +182,13 @@ class _GraphExec:
         return _as_node(x)
 
     def add(self, a, b):
-        return apply("add", [self.v(a), self.v(b)])
+        return apply("add", _as_nodes(a, b))
 
     def mul(self, a, b):
-        return apply("mul", [self.v(a), self.v(b)])
+        return apply("mul", _as_nodes(a, b))
 
     def div(self, a, b):
-        return _apply_private("div", [self.v(a), self.v(b)])
+        return _apply_private("div", _as_nodes(a, b))
 
     def neg(self, a):
         return -self.v(a)
@@ -263,37 +260,35 @@ def _col2im_values(cols, x_shape, kh, kw, stride):
 
 
 # ---------------------------------------------------------------------------
-# Operation table: forward on arrays, vjp via an executor.
+# Operation table: forward on arrays, and the vjp via an executor.
+# vjp(E, g, inputs, out, i) is the gradient for input i alone.
 # ---------------------------------------------------------------------------
 
 def _fw_add(attrs, a, b):
     return a + b
 
 
-def _vjp_add(E, g, inputs, out):
-    a, b = inputs
-    return (_unbroadcast(E, g, a.shape), _unbroadcast(E, g, b.shape))
+def _vjp_add(E, g, inputs, out, i):
+    return _unbroadcast(E, g, inputs[i].shape)
 
 
 def _fw_mul(attrs, a, b):
     return a * b
 
 
-def _vjp_mul(E, g, inputs, out):
-    a, b = inputs
-    return (_unbroadcast(E, E.mul(g, b), a.shape),
-            _unbroadcast(E, E.mul(g, a), b.shape))
+def _vjp_mul(E, g, inputs, out, i):
+    return _unbroadcast(E, E.mul(g, inputs[1 - i]), inputs[i].shape)
 
 
 def _fw_div(attrs, a, b):
     return a / b
 
 
-def _vjp_div(E, g, inputs, out):
+def _vjp_div(E, g, inputs, out, i):
     a, b = inputs
-    ga = _unbroadcast(E, E.div(g, b), a.shape)
-    gb = _unbroadcast(E, E.neg(E.div(E.mul(g, out), b)), b.shape)
-    return (ga, gb)
+    if i == 0:
+        return _unbroadcast(E, E.div(g, b), a.shape)
+    return _unbroadcast(E, E.neg(E.div(E.mul(g, out), b)), b.shape)
 
 
 def _fw_matmul(attrs, a, b):
@@ -302,9 +297,9 @@ def _fw_matmul(attrs, a, b):
     return a @ b
 
 
-def _vjp_matmul(E, g, inputs, out):
+def _vjp_matmul(E, g, inputs, out, i):
     a, b = inputs
-    return (E.matmul(g, E.transpose(b)), E.matmul(E.transpose(a), g))
+    return E.matmul(g, E.transpose(b)) if i == 0 else E.matmul(E.transpose(a), g)
 
 
 def _fw_affine(attrs, x, w, b):
@@ -313,29 +308,30 @@ def _fw_affine(attrs, x, w, b):
     return x @ w + b
 
 
-def _vjp_affine(E, g, inputs, out):
-    x, w, b = inputs
-    return (E.matmul(g, E.transpose(w)),
-            E.matmul(E.transpose(x), g),
-            E.sum(g, axis=0))
+def _vjp_affine(E, g, inputs, out, i):
+    x, w, _ = inputs
+    if i == 0:
+        return E.matmul(g, E.transpose(w))
+    if i == 1:
+        return E.matmul(E.transpose(x), g)
+    return E.sum(g, axis=0)
 
 
 def _fw_tanh(attrs, x):
     return np.tanh(x)
 
 
-def _vjp_tanh(E, g, inputs, out):
-    return (E.mul(g, E.add(1.0, E.neg(E.mul(out, out)))),)
+def _vjp_tanh(E, g, inputs, out, i):
+    return E.mul(g, E.add(1.0, E.neg(E.mul(out, out))))
 
 
 def _fw_relu(attrs, x):
     return np.maximum(x, 0.0)
 
 
-def _vjp_relu(E, g, inputs, out):
+def _vjp_relu(E, g, inputs, out, i):
     x = inputs[0]
-    mask = (x.values > 0).astype(x.values.dtype)
-    return (E.mul(g, mask),)
+    return E.mul(g, (x.values > 0).astype(x.dtype))
 
 
 def sigmoid_values(x):
@@ -352,8 +348,8 @@ def _fw_sigmoid(attrs, x):
     return sigmoid_values(x)
 
 
-def _vjp_sigmoid(E, g, inputs, out):
-    return (E.mul(g, E.mul(out, E.add(1.0, E.neg(out)))),)
+def _vjp_sigmoid(E, g, inputs, out, i):
+    return E.mul(g, E.mul(out, E.add(1.0, E.neg(out))))
 
 
 def _fw_log(attrs, x):
@@ -362,18 +358,16 @@ def _fw_log(attrs, x):
     return np.log(x + LOG_OFFSET)
 
 
-def _vjp_log(E, g, inputs, out):
-    x = inputs[0]
-    return (E.div(g, E.add(x, LOG_OFFSET)),)
+def _vjp_log(E, g, inputs, out, i):
+    return E.div(g, E.add(inputs[0], LOG_OFFSET))
 
 
 def _fw_square(attrs, x):
     return x * x
 
 
-def _vjp_square(E, g, inputs, out):
-    x = inputs[0]
-    return (E.mul(g, E.mul(2.0, x)),)
+def _vjp_square(E, g, inputs, out, i):
+    return E.mul(g, E.mul(2.0, inputs[0]))
 
 
 def _fw_sum(attrs, x):
@@ -383,29 +377,29 @@ def _fw_sum(attrs, x):
 def _bcast_reduced(E, g, attrs, in_shape):
     axis = attrs.get("axis")
     keepdims = attrs.get("keepdims", False)
+    ones = np.ones(in_shape, dtype=E.v(g).dtype)
     if axis is None:
-        return E.mul(g, np.ones(in_shape))
+        return E.mul(g, ones)
     if not keepdims:
         axes = (axis,) if np.isscalar(axis) else tuple(axis)
         kd = list(in_shape)
         for ax in axes:
             kd[ax] = 1
         g = E.reshape(g, kd)
-    return E.mul(g, np.ones(in_shape))
+    return E.mul(g, ones)
 
 
-def _vjp_sum(E, g, inputs, out):
-    return (_bcast_reduced(E, g, out.attrs, inputs[0].shape),)
+def _vjp_sum(E, g, inputs, out, i):
+    return _bcast_reduced(E, g, out.attrs, inputs[0].shape)
 
 
 def _fw_mean(attrs, x):
     return np.mean(x, axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
 
 
-def _vjp_mean(E, g, inputs, out):
+def _vjp_mean(E, g, inputs, out, i):
     n = inputs[0].size // max(out.size, 1)
-    g = E.mul(g, 1.0 / n)
-    return (_bcast_reduced(E, g, out.attrs, inputs[0].shape),)
+    return _bcast_reduced(E, E.mul(g, 1.0 / n), out.attrs, inputs[0].shape)
 
 
 def _fw_concat(attrs, *xs):
@@ -416,77 +410,71 @@ def _fw_concat(attrs, *xs):
     return np.concatenate(xs, axis=axis)
 
 
-def _vjp_concat(E, g, inputs, out):
+def _vjp_concat(E, g, inputs, out, i):
     axis = out.attrs.get("axis", 0)
-    grads = []
-    start = 0
-    for x in inputs:
-        n = x.shape[axis]
-        key = tuple(slice(None) if d != axis else slice(start, start + n)
-                    for d in range(len(x.shape)))
-        grads.append(E.slice(g, key))
-        start += n
-    return tuple(grads)
+    start = sum(x.shape[axis] for x in inputs[:i])
+    x = inputs[i]
+    key = tuple(slice(None) if d != axis else slice(start, start + x.shape[axis])
+                for d in range(len(x.shape)))
+    return E.slice(g, key)
 
 
 def _fw_clip(attrs, x):
     return np.clip(x, attrs["lo"], attrs["hi"])
 
 
-def _vjp_clip(E, g, inputs, out):
+def _vjp_clip(E, g, inputs, out, i):
     x = inputs[0]
     mask = ((x.values > out.attrs["lo"]) & (x.values < out.attrs["hi"]))
-    return (E.mul(g, mask.astype(x.values.dtype)),)
+    return E.mul(g, mask.astype(x.dtype))
 
 
 def _fw_l2norm(attrs, x):
     return np.sqrt(np.sum(x * x, axis=attrs.get("axis")) + NORM_OFFSET)
 
 
-def _vjp_l2norm(E, g, inputs, out):
+def _vjp_l2norm(E, g, inputs, out, i):
     x = inputs[0]
     axis = out.attrs.get("axis")
     if axis is None:
-        return (E.mul(x, E.div(g, out)),)
+        return E.mul(x, E.div(g, out))
     kd = list(x.shape)
     kd[axis] = 1
-    ratio = E.reshape(E.div(g, out), kd)
-    return (E.mul(x, ratio),)
+    return E.mul(x, E.reshape(E.div(g, out), kd))
 
 
 def _fw_minimum(attrs, a, b):
     return np.minimum(a, b)
 
 
-def _vjp_minimum(E, g, inputs, out):
+def _vjp_minimum(E, g, inputs, out, i):
     a, b = inputs
-    mask = (a.values <= b.values).astype(a.values.dtype)
-    return (_unbroadcast(E, E.mul(g, mask), a.shape),
-            _unbroadcast(E, E.mul(g, 1.0 - mask), b.shape))
+    mask = (a.values <= b.values).astype(a.dtype)
+    return _unbroadcast(E, E.mul(g, mask if i == 0 else 1.0 - mask), inputs[i].shape)
 
 
 def _fw_transpose(attrs, x):
     return x.T
 
 
-def _vjp_transpose(E, g, inputs, out):
-    return (E.transpose(g),)
+def _vjp_transpose(E, g, inputs, out, i):
+    return E.transpose(g)
 
 
 def _fw_reshape(attrs, x):
     return x.reshape(attrs["shape"])
 
 
-def _vjp_reshape(E, g, inputs, out):
-    return (E.reshape(g, inputs[0].shape),)
+def _vjp_reshape(E, g, inputs, out, i):
+    return E.reshape(g, inputs[0].shape)
 
 
 def _fw_slice(attrs, x):
     return x[attrs["key"]]
 
 
-def _vjp_slice(E, g, inputs, out):
-    return (E.scatter_slice(g, inputs[0].shape, out.attrs["key"]),)
+def _vjp_slice(E, g, inputs, out, i):
+    return E.scatter_slice(g, inputs[0].shape, out.attrs["key"])
 
 
 def _fw_scatter_slice(attrs, x):
@@ -495,26 +483,26 @@ def _fw_scatter_slice(attrs, x):
     return out
 
 
-def _vjp_scatter_slice(E, g, inputs, out):
-    return (E.slice(g, out.attrs["key"]),)
+def _vjp_scatter_slice(E, g, inputs, out, i):
+    return E.slice(g, out.attrs["key"])
 
 
 def _fw_im2col(attrs, x):
     return _im2col_values(x, attrs["kh"], attrs["kw"], attrs["stride"])
 
 
-def _vjp_im2col(E, g, inputs, out):
+def _vjp_im2col(E, g, inputs, out, i):
     a = out.attrs
-    return (E.col2im(g, inputs[0].shape, a["kh"], a["kw"], a["stride"]),)
+    return E.col2im(g, inputs[0].shape, a["kh"], a["kw"], a["stride"])
 
 
 def _fw_col2im(attrs, x):
     return _col2im_values(x, attrs["x_shape"], attrs["kh"], attrs["kw"], attrs["stride"])
 
 
-def _vjp_col2im(E, g, inputs, out):
+def _vjp_col2im(E, g, inputs, out, i):
     a = out.attrs
-    return (E.im2col(g, a["kh"], a["kw"], a["stride"]),)
+    return E.im2col(g, a["kh"], a["kw"], a["stride"])
 
 
 _OPS = {
@@ -554,9 +542,7 @@ def _apply_private(kind, inputs, **attrs):
         except ValueError:
             raise ShapeMismatchError(kind, (a.shape, b.shape)) from None
     values = fw(attrs, *(x.values for x in inputs))
-    requires = any(x.requires_grad for x in inputs)
-    return TensorNode(values, op=kind, inputs=tuple(inputs), attrs=attrs,
-                      requires_grad=requires)
+    return TensorNode(values, op=kind, inputs=tuple(inputs), attrs=attrs)
 
 
 def apply(kind, inputs, **attrs):
@@ -579,73 +565,67 @@ def minimum(a, b):
 # Backward passes
 # ---------------------------------------------------------------------------
 
-def _toposort(root):
+def _toposort(root, leaves):
+    """The nodes on a path from root to one of `leaves`, inputs first."""
+    targets = {id(x) for x in leaves}
+    live = set()  # ids of the nodes that reach a target
     order = []
     seen = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            if id(node) in targets or any(id(x) in live for x in node.inputs):
+                live.add(id(node))
+                order.append(node)
             continue
         if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
         for inp in node.inputs:
-            if inp.requires_grad and id(inp) not in seen:
+            if id(inp) not in seen:
                 stack.append((inp, False))
     return order
 
 
-def _run_backward(root, create_graph):
+def _run_backward(root, leaves, create_graph):
+    """Adjoints by node id, computing only the VJPs on a path to a leaf."""
     E = _GraphExec() if create_graph else _EagerExec()
-    order = _toposort(root)
-    seed = np.ones(root.shape, dtype=root.values.dtype)
+    order = _toposort(root, leaves)
+    live = {id(node) for node in order}
+    seed = np.ones(root.shape, dtype=root.dtype)
     adjoint = {id(root): _as_node(seed) if create_graph else seed}
     for node in reversed(order):
-        g = adjoint.get(id(node))
-        if g is None or node.op is None:
+        if node.op is None:
             continue
-        vjps = _OPS[node.op][1](E, g, node.inputs, node)
-        for inp, gi in zip(node.inputs, vjps):
-            if not inp.requires_grad or gi is None:
+        g = adjoint[id(node)]
+        vjp = _OPS[node.op][1]
+        for i, inp in enumerate(node.inputs):
+            if id(inp) not in live:
                 continue
+            gi = vjp(E, g, node.inputs, node, i)
             prev = adjoint.get(id(inp))
-            if prev is None:
-                adjoint[id(inp)] = gi
-            else:
-                adjoint[id(inp)] = E.add(prev, gi)
-    return adjoint, order
+            adjoint[id(inp)] = gi if prev is None else E.add(prev, gi)
+    return adjoint
 
 
-def backward(root):
-    """Gradients of a scalar node w.r.t. every reachable parameter leaf.
-
-    Returns a GradientMap; parameters the root does not depend on read
-    back as zero arrays.
-    """
+def backward(root, params):
+    """Gradients of a scalar node with respect to the leaves `params`, as a
+    list in their order; a parameter the root does not depend on gets a
+    zero array."""
     if root.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
-    adjoint, order = _run_backward(root, create_graph=False)
-    grads = {}
-    for node in order:
-        if node.op is None and node.requires_grad and id(node) in adjoint:
-            g = adjoint[id(node)]
-            if g.shape != node.shape:
-                g = np.broadcast_to(g, node.shape).astype(node.values.dtype)
-            grads[id(node)] = (node, g)
-    return GradientMap(grads)
+    adjoint = _run_backward(root, params, create_graph=False)
+    return [adjoint[id(p)] if id(p) in adjoint else np.zeros_like(p.values)
+            for p in params]
 
 
 def input_gradient(scalar, wrt):
     """d scalar / d wrt as a graph node, itself differentiable again."""
     if scalar.size != 1:
         raise ValueError("input_gradient needs a scalar node")
-    if not wrt.requires_grad:
-        raise ValueError("wrt must have requires_grad=True to receive a gradient")
-    adjoint, _ = _run_backward(scalar, create_graph=True)
-    g = adjoint.get(id(wrt))
+    g = _run_backward(scalar, [wrt], create_graph=True).get(id(wrt))
     if g is None:
         raise ValueError("wrt does not influence the scalar")
     return g
@@ -658,10 +638,9 @@ def finite_diff_check(f, params, eps=1e-5):
     given parameter leaves. Relative error uses max(1, |fd|, |ad|) as the
     denominator so near-zero gradients compare absolutely.
     """
-    grads = backward(f(params))
+    grads = backward(f(params), params)
     worst = 0.0
-    for p in params:
-        ad = grads.get(p)
+    for p, ad in zip(params, grads):
         flat = p.values.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

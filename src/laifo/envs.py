@@ -119,6 +119,8 @@ class PendulumPO:
     initial_state_mean = np.array([np.pi, 0.0])
 
     def __init__(self, seed=0, reward_mode="dense"):
+        if reward_mode != "dense":
+            raise ValueError(f"pendulum-po has only the dense reward, not {reward_mode!r}")
         self.reward_mode = reward_mode
         self.rng = np.random.default_rng(seed)
         self._theta = np.pi

@@ -162,11 +162,12 @@ class Adam:
         self.t = 0
 
     def step(self, grads):
+        """One update from `grads`, a list in the order of `self.params`
+        (what `backward(loss, self.params)` returns)."""
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = grads.get(p)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v, strict=True):
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
@@ -177,7 +178,8 @@ class Adam:
 @dataclass
 class AgentBundle:
     """Encoder (None for fully observable learners), actor, twin critics,
-    discriminator (None for behavioral cloning), and their optimizers."""
+    discriminator (None for behavioral cloning), and their optimizers; the
+    critic optimizer also steps the encoder."""
 
     actor: nets.Actor
     critics: nets.TwinCritics
@@ -185,7 +187,6 @@ class AgentBundle:
     disc: nets.Discriminator = None
     actor_opt: Adam = None
     critic_opt: Adam = None
-    enc_opt: Adam = None
     disc_opt: Adam = None
 
     def latent(self, windows):
@@ -234,8 +235,8 @@ def build_bundle(cfg, obs_shape, act_dim, pairing, rng, encoder=True,
     return AgentBundle(
         actor=actor, critics=critics, enc=enc, disc=disc,
         actor_opt=Adam(actor.params(), cfg.lr),
-        critic_opt=Adam(critics.params(), cfg.lr),
-        enc_opt=Adam(enc.params(), cfg.lr) if enc is not None else None,
+        critic_opt=Adam(critics.params() + (enc.params() if enc is not None else []),
+                        cfg.lr),
         disc_opt=Adam(disc.params(), cfg.disc_lr) if disc is not None else None,
     )
 
@@ -253,8 +254,10 @@ def gradient_penalty(disc, expert_pairs, agent_pairs, lam, rng):
     if expert_pairs.shape != agent_pairs.shape:
         raise ValueError(
             f"pair sets differ: {expert_pairs.shape} vs {agent_pairs.shape}")
-    u = rng.uniform(size=(len(expert_pairs), 1))
-    interp = tensor(u * expert_pairs + (1.0 - u) * agent_pairs, requires_grad=True)
+    # u takes the pairs' precision, so a float32 learner stays float32
+    u = rng.uniform(size=(len(expert_pairs), 1)).astype(
+        np.result_type(expert_pairs, np.float32))
+    interp = tensor(u * expert_pairs + (1.0 - u) * agent_pairs)
     total = apply("sum", [disc.score(interp)])
     grad = input_gradient(total, interp)
     norms = apply("l2norm", [grad], axis=1)
@@ -280,7 +283,7 @@ def update_discriminator(bundle, expert_pairs, agent_pairs, cfg, rng):
     else:
         loss = main
         pen_value = 0.0
-    bundle.disc_opt.step(backward(loss))
+    bundle.disc_opt.step(backward(loss, bundle.disc_opt.params))
     return main.values.item(), pen_value
 
 
@@ -319,10 +322,7 @@ def update_critic(bundle, batch, cfg, sigma, rng, pixel=False,
     q1, q2 = bundle.critics.forward(z_node, tensor(actions))
     loss = apply("mean", [apply("square", [q1 - y])]) + \
         apply("mean", [apply("square", [q2 - y])])
-    grads = backward(loss)
-    bundle.critic_opt.step(grads)
-    if bundle.enc_opt is not None:
-        bundle.enc_opt.step(grads)
+    bundle.critic_opt.step(backward(loss, bundle.critic_opt.params))
     bundle.critics.soft_update(cfg.tau)
     return loss.values.item(), float(r.mean())
 
@@ -342,7 +342,7 @@ def update_actor(bundle, windows, cfg, sigma, rng, pixel=False):
     a_node = pi + tensor(eps.astype(z.dtype))
     q1, q2 = bundle.critics.forward(tensor(z), a_node)
     loss = -apply("mean", [minimum(q1, q2)])
-    bundle.actor_opt.step(backward(loss))
+    bundle.actor_opt.step(backward(loss, bundle.actor_opt.params))
     return loss.values.item()
 
 
@@ -566,7 +566,7 @@ def train_bc(env, expert_data, cfg):
         z = bundle.enc.forward(wins)
         pred = bundle.actor.forward(z)
         loss = apply("mean", [apply("square", [pred - tensor(acts.astype(cfg.dtype))])])
-        opt.step(backward(loss))
+        opt.step(backward(loss, opt.params))
         loss_value = loss.values.item()
         if step % cfg.eval_interval == 0 or step == cfg.bc_steps:
             policy = WindowPolicy(bundle, cfg.d)

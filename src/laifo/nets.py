@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import TensorNode, apply, sigmoid_values, tensor
+from .replay import _read_exact
 
 CKPT_MAGIC = b"LAIFO-CKPT1"
 
@@ -42,8 +43,8 @@ class Mlp:
                 b = np.zeros(n_out, dtype=dtype)
             else:
                 w, b = _fan_in(rng, n_in, n_out, dtype)
-            self.weights.append(tensor(w, requires_grad=True, name=f"{name}.l{i}.W"))
-            self.biases.append(tensor(b, requires_grad=True, name=f"{name}.l{i}.b"))
+            self.weights.append(tensor(w, name=f"{name}.l{i}.W"))
+            self.biases.append(tensor(b, name=f"{name}.l{i}.b"))
 
     def _act_node(self, h):
         return apply(self.activation, [h])
@@ -162,15 +163,15 @@ class PixelEncoder:
         side = image_size
         for i, c_out in enumerate(channels):
             w, b = _fan_in(rng, c_in * self.KH * self.KW, c_out, dtype)
-            self.conv_w.append(tensor(w, requires_grad=True, name=f"enc.c{i}.W"))
-            self.conv_b.append(tensor(b, requires_grad=True, name=f"enc.c{i}.b"))
+            self.conv_w.append(tensor(w, name=f"enc.c{i}.W"))
+            self.conv_b.append(tensor(b, name=f"enc.c{i}.b"))
             side = (side - self.KH) // self.STRIDE + 1
             c_in = c_out
         self.out_side = side
         flat = side * side * channels[-1]
         w, b = _fan_in(rng, flat, z_dim, dtype)
-        self.head_w = tensor(w, requires_grad=True, name="enc.head.W")
-        self.head_b = tensor(b, requires_grad=True, name="enc.head.b")
+        self.head_w = tensor(w, name="enc.head.W")
+        self.head_b = tensor(b, name="enc.head.b")
 
     def _check(self, window):
         arr = np.asarray(window)
@@ -345,21 +346,22 @@ def save_checkpoint(path, named_params):
 
 
 def load_checkpoint(path):
-    """Returns dict name -> float64 array."""
+    """Returns dict name -> float64 array. A file cut short, or with bytes
+    after its last array, raises ValueError."""
     with open(path, "rb") as f:
         magic = f.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
-        (n,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(n).decode("utf-8"))
+        (n,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint manifest length"))
+        manifest = json.loads(_read_exact(f, n, "checkpoint manifest").decode("utf-8"))
         out = {}
         for entry in manifest["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError("truncated checkpoint payload")
+            raw = _read_exact(f, count * 8, f"checkpoint array {entry['name']}")
             out[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise ValueError("trailing bytes after the last checkpoint array")
         return out
 
 

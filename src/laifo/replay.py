@@ -226,7 +226,7 @@ def save_dataset(dataset, path):
 def _read_exact(f, n, what):
     raw = f.read(n)
     if len(raw) != n:
-        raise ValueError(f"truncated dataset: expected {n} bytes of {what}")
+        raise ValueError(f"truncated {what}: expected {n} bytes")
     return raw
 
 
@@ -235,8 +235,8 @@ def load_dataset(path):
         magic = f.read(len(DATASET_MAGIC))
         if magic != DATASET_MAGIC:
             raise ValueError(f"bad dataset magic {magic!r}")
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
-        header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "dataset header length"))
+        header = json.loads(_read_exact(f, hlen, "dataset header").decode("utf-8"))
         obs_shape = tuple(header["obs_shape"])
         act_shape = tuple(header["act_shape"])
         obs_size = int(np.prod(obs_shape))
@@ -250,16 +250,16 @@ def load_dataset(path):
                     f"found only {len(episodes)}")
             (n,) = struct.unpack("<I", head)
             obs = np.frombuffer(
-                _read_exact(f, 4 * n * obs_size, "observations"), dtype="<f4"
+                _read_exact(f, 4 * n * obs_size, "dataset observations"), dtype="<f4"
             ).reshape(n, *obs_shape).copy()
             actions = rewards = None
             if header["has_actions"]:
                 actions = np.frombuffer(
-                    _read_exact(f, 4 * (n - 1) * act_size, "actions"), dtype="<f4"
+                    _read_exact(f, 4 * (n - 1) * act_size, "dataset actions"), dtype="<f4"
                 ).reshape(n - 1, *act_shape).copy()
             if header["has_rewards"]:
                 rewards = np.frombuffer(
-                    _read_exact(f, 4 * (n - 1), "rewards"), dtype="<f4").copy()
+                    _read_exact(f, 4 * (n - 1), "dataset rewards"), dtype="<f4").copy()
             episodes.append(Episode(obs, actions, rewards))
         if f.read(1):
             raise ValueError("trailing bytes after declared episodes")

@@ -306,12 +306,18 @@ def c_term(pomdp, scheme, policy_theta, policy_expert, r_max=None, gamma=None,
     if r_max is None:
         r_max = pomdp.r_max("sa")
     gamma = tables_theta.gamma if gamma is None else gamma
+    return (2.0 * r_max / (1.0 - gamma)) * _expected_posterior_tv(
+        pomdp, scheme, policy_theta, policy_expert, tables_theta, tables_expert)
+
+
+def _expected_posterior_tv(pomdp, scheme, policy_theta, policy_expert,
+                           tables_theta, tables_expert):
+    """E_{rho_theta(z,z')}[ TV(P_theta(a|z,z'), P_E(a|z,z')) ] over the pairs
+    where both posteriors are defined."""
     post_t, valid_t = action_posterior(pomdp, scheme, policy_theta, tables_theta)
     post_e, valid_e = action_posterior(pomdp, scheme, policy_expert, tables_expert)
-    both = valid_t & valid_e
     tv = 0.5 * np.abs(post_t - post_e).sum(axis=2)
-    mass = np.where(both, tables_theta.rho_zz, 0.0)
-    return (2.0 * r_max / (1.0 - gamma)) * float(np.sum(mass * tv))
+    return float(np.sum(np.where(valid_t & valid_e, tables_theta.rho_zz, 0.0) * tv))
 
 
 @dataclass
@@ -422,11 +428,8 @@ def verify(claim, pomdp, scheme, policy_theta, policy_expert):
 
     if claim == "lemma2":
         lhs = f_divergence("tv", tab_t.rho_za.reshape(-1), tab_e.rho_za.reshape(-1))
-        post_t, valid_t = action_posterior(pomdp, scheme, policy_theta, tab_t)
-        post_e, valid_e = action_posterior(pomdp, scheme, policy_expert, tab_e)
-        both = valid_t & valid_e
-        tv_post = 0.5 * np.abs(post_t - post_e).sum(axis=2)
-        expect = float(np.sum(np.where(both, tab_t.rho_zz, 0.0) * tv_post))
+        expect = _expected_posterior_tv(pomdp, scheme, policy_theta, policy_expert,
+                                        tab_t, tab_e)
         rhs = expect + tv_zz
         return BoundReport(claim, lhs, rhs, rhs - lhs, 0.0, tv_zz, expect, violation)
 
@@ -450,23 +453,42 @@ def _row_sample(rng, cum_rows, rows):
     return (cum_rows[rows] < u[:, None]).sum(axis=1)
 
 
+class _Rollouts:
+    """Cumulative tables for sampling (state, window) trajectories of a
+    policy on a POMDP under a latent scheme."""
+
+    def __init__(self, pomdp, scheme, policy):
+        _, self.windows, _, self.window_index = enumerate_reachable(pomdp, scheme)
+        self.shift_to = _window_shift_table(pomdp, scheme, self.windows,
+                                            self.window_index)
+        self.scheme = scheme
+        self.cum_rho0 = np.cumsum(pomdp.rho0)[None, :]
+        self.cum_u = np.cumsum(pomdp.observation, axis=1)
+        self.cum_t = np.cumsum(pomdp.transition, axis=2)
+        self.cum_pi = np.cumsum(np.asarray(policy, dtype=float), axis=1)
+
+    def start(self, rng, n):
+        """n initial states and their initial windows."""
+        s = (self.cum_rho0 < rng.random(n)[:, None]).sum(axis=1)
+        x = _row_sample(rng, self.cum_u, s)
+        return s, np.array([self.window_index[self.scheme.initial(int(xi))] for xi in x])
+
+    def step(self, rng, s, w):
+        """One step from states s in windows w: (actions, next states, next
+        windows)."""
+        a = _row_sample(rng, self.cum_pi, w)
+        s2 = (self.cum_t[s, a] < rng.random(len(s))[:, None]).sum(axis=1)
+        x2 = _row_sample(rng, self.cum_u, s2)
+        return a, s2, self.shift_to[w, x2]
+
+
 def mc_latent_occupancy(pomdp, scheme, policy, rng, n_samples=100_000, gamma=None):
     """i.i.d. samples of z at a geometric stopping time; the empirical
     distribution estimates d_pi(z)."""
     gamma = pomdp.gamma if gamma is None else gamma
-    _, windows, _, window_index = enumerate_reachable(pomdp, scheme)
-    shift_to = _window_shift_table(pomdp, scheme, windows, window_index)
-    policy = np.asarray(policy, dtype=float)
-
-    cum_rho0 = np.cumsum(pomdp.rho0)[None, :]
-    cum_u = np.cumsum(pomdp.observation, axis=1)
-    cum_t = np.cumsum(pomdp.transition, axis=2)
-    cum_pi = np.cumsum(policy, axis=1)
-
+    roll = _Rollouts(pomdp, scheme, policy)
     times = rng.geometric(1.0 - gamma, size=n_samples) - 1
-    s = (cum_rho0 < rng.random(n_samples)[:, None]).sum(axis=1)
-    x = _row_sample(rng, cum_u, s)
-    w = np.array([window_index[scheme.initial(int(xi))] for xi in x])
+    s, w = roll.start(rng, n_samples)
     out = np.empty(n_samples, dtype=np.int64)
     alive = times > 0
     out[~alive] = w[~alive]
@@ -474,18 +496,14 @@ def mc_latent_occupancy(pomdp, scheme, policy, rng, n_samples=100_000, gamma=Non
     while alive.any():
         t += 1
         idx = np.nonzero(alive)[0]
-        a = _row_sample(rng, cum_pi, w[idx])
-        cum_rows = cum_t[s[idx], a]
-        s2 = (cum_rows < rng.random(len(idx))[:, None]).sum(axis=1)
-        x2 = _row_sample(rng, cum_u, s2)
-        w2 = shift_to[w[idx], x2]
+        _, s2, w2 = roll.step(rng, s[idx], w[idx])
         s[idx] = s2
         w[idx] = w2
         finished = times[idx] == t
         out[idx[finished]] = w2[finished]
         alive[idx[finished]] = False
-    freq = np.bincount(out, minlength=len(windows)).astype(float)
-    return freq / n_samples, windows
+    freq = np.bincount(out, minlength=len(roll.windows)).astype(float)
+    return freq / n_samples, roll.windows
 
 
 def mc_policy_value(pomdp, scheme, policy, reward_mode, rng, n_episodes=2000,
@@ -493,30 +511,16 @@ def mc_policy_value(pomdp, scheme, policy, reward_mode, rng, n_episodes=2000,
     """Truncated-rollout estimate of J(pi); returns (mean, standard error)."""
     gamma = pomdp.gamma if gamma is None else gamma
     horizon = int(np.ceil(np.log(tail) / np.log(gamma)))
-    _, windows, _, window_index = enumerate_reachable(pomdp, scheme)
-    shift_to = _window_shift_table(pomdp, scheme, windows, window_index)
-    policy = np.asarray(policy, dtype=float)
-
-    cum_rho0 = np.cumsum(pomdp.rho0)[None, :]
-    cum_u = np.cumsum(pomdp.observation, axis=1)
-    cum_t = np.cumsum(pomdp.transition, axis=2)
-    cum_pi = np.cumsum(policy, axis=1)
-
-    s = (cum_rho0 < rng.random(n_episodes)[:, None]).sum(axis=1)
-    x = _row_sample(rng, cum_u, s)
-    w = np.array([window_index[scheme.initial(int(xi))] for xi in x])
+    roll = _Rollouts(pomdp, scheme, policy)
+    s, w = roll.start(rng, n_episodes)
     returns = np.zeros(n_episodes)
     disc = 1.0
     for _ in range(horizon):
-        a = _row_sample(rng, cum_pi, w)
-        cum_rows = cum_t[s, a]
-        s2 = (cum_rows < rng.random(n_episodes)[:, None]).sum(axis=1)
-        x2 = _row_sample(rng, cum_u, s2)
+        a, s2, w = roll.step(rng, s, w)
         if reward_mode == "sa":
             returns += disc * pomdp.reward_sa[s, a]
         else:
             returns += disc * pomdp.reward_ss[s, s2]
-        w = shift_to[w, x2]
         s = s2
         disc *= gamma
     return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_episodes))

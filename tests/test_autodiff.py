@@ -22,45 +22,45 @@ def test_l2norm_hand_value():
 
 
 def test_backward_sum_of_squares():
-    w = tensor([1.0, -2.0], requires_grad=True)
+    w = tensor([1.0, -2.0])
     root = apply("sum", [apply("square", [w])])
-    grads = backward(root)
-    assert np.allclose(grads.get(w), [2.0, -4.0])
+    (gw,) = backward(root, [w])
+    assert np.allclose(gw, [2.0, -4.0])
 
 
 def test_backward_sigmoid_slope():
     # sigma'(0) = 0.25, scaled by a constant factor
-    x = tensor([0.0], requires_grad=True)
+    x = tensor([0.0])
     root = apply("sum", [apply("sigmoid", [x]) * 3.0])
-    grads = backward(root)
-    assert np.allclose(grads.get(x), [0.75])
+    (gx,) = backward(root, [x])
+    assert np.allclose(gx, [0.75])
 
 
 def test_backward_unreachable_param_is_zero():
-    w = tensor([1.0, 2.0, 3.0], requires_grad=True)
-    v = tensor([5.0], requires_grad=True)
+    w = tensor([1.0, 2.0, 3.0])
+    v = tensor([5.0])
     root = apply("sum", [apply("square", [v])])
-    grads = backward(root)
-    assert np.array_equal(grads.get(w), np.zeros(3))
-    assert w not in grads
+    gw, gv = backward(root, [w, v])
+    assert np.array_equal(gw, np.zeros(3))
+    assert np.allclose(gv, [10.0])
 
 
 def test_backward_rejects_non_scalar():
-    w = tensor([1.0, 2.0], requires_grad=True)
+    w = tensor([1.0, 2.0])
     with pytest.raises(ValueError, match="scalar"):
-        backward(apply("square", [w]))
+        backward(apply("square", [w]), [w])
 
 
 def test_input_gradient_linear():
     w = tensor([[2.0]])
-    x = tensor([[3.0]], requires_grad=True)
+    x = tensor([[3.0]])
     s = apply("sum", [apply("matmul", [w, x])])
     g = input_gradient(s, x)
     assert np.allclose(g.values, [[2.0]])
 
 
 def test_input_gradient_of_quadratic_is_identity():
-    x = tensor([1.0, 2.0], requires_grad=True)
+    x = tensor([1.0, 2.0])
     s = apply("sum", [apply("square", [x])]) * 0.5
     g = input_gradient(s, x)
     assert np.allclose(g.values, [1.0, 2.0])
@@ -68,30 +68,30 @@ def test_input_gradient_of_quadratic_is_identity():
 
 def test_double_backprop_through_quadratic():
     # d/dx sum(square(d(0.5||x||^2)/dx)) = d/dx sum(x^2) = 2x
-    x = tensor([1.0, 2.0], requires_grad=True)
+    x = tensor([1.0, 2.0])
     s = apply("sum", [apply("square", [x])]) * 0.5
     g = input_gradient(s, x)
     root = apply("sum", [apply("square", [g])])
-    grads = backward(root)
-    assert np.allclose(grads.get(x), [2.0, 4.0])
+    (gx,) = backward(root, [x])
+    assert np.allclose(gx, [2.0, 4.0])
 
 
 def test_input_gradient_requires_influence():
-    x = tensor([1.0], requires_grad=True)
-    y = tensor([2.0], requires_grad=True)
+    x = tensor([1.0])
+    y = tensor([2.0])
     s = apply("sum", [apply("square", [x])])
     with pytest.raises(ValueError, match="influence"):
         input_gradient(s, y)
 
 
 def test_finite_diff_polynomial():
-    w = tensor([0.3, -1.2, 2.0], requires_grad=True)
+    w = tensor([0.3, -1.2, 2.0])
     err = finite_diff_check(lambda ps: apply("sum", [apply("square", [ps[0]])]), [w])
     assert err < 1e-6
 
 
 def test_finite_diff_constant_function():
-    w = tensor([1.0, 2.0], requires_grad=True)
+    w = tensor([1.0, 2.0])
     c = tensor([7.0])
     err = finite_diff_check(lambda ps: apply("sum", [c]), [w])
     assert err == 0.0
@@ -118,7 +118,7 @@ def test_unknown_kind_rejected():
 
 
 def _rand_nodes(rng, shapes):
-    return [tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    return [tensor(rng.standard_normal(s)) for s in shapes]
 
 
 # One scalar-valued builder per public kind, used for the per-kind
@@ -173,10 +173,10 @@ def test_kind_gradients_match_finite_differences(kind):
 def test_double_backprop_matches_finite_differences():
     # f(x) = 0.5 ||W x||^2; check d/dW of ||df/dx||^2 against central diffs.
     rng = np.random.default_rng(7)
-    w = tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    w = tensor(rng.standard_normal((3, 3)))
 
     def penalty(ps):
-        x = tensor(np.array([[0.7, -0.2, 1.1]]), requires_grad=True)
+        x = tensor(np.array([[0.7, -0.2, 1.1]]))
         y = apply("matmul", [x, ps[0]])
         f = apply("sum", [apply("square", [y])]) * 0.5
         g = input_gradient(f, x)
@@ -188,11 +188,11 @@ def test_double_backprop_matches_finite_differences():
 def test_forward_and_gradients_deterministic():
     def run():
         rng = np.random.default_rng(123)
-        w = tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        w = tensor(rng.standard_normal((4, 4)))
         x = tensor(rng.standard_normal((2, 4)))
         h = apply("tanh", [apply("matmul", [x, w])])
         loss = apply("mean", [apply("square", [h])])
-        return loss.values.copy(), backward(loss).get(w).copy()
+        return loss.values.copy(), backward(loss, [w])[0].copy()
 
     v1, g1 = run()
     v2, g2 = run()
@@ -201,18 +201,59 @@ def test_forward_and_gradients_deterministic():
 
 
 def test_minimum_helper_gradient():
-    a = tensor([1.0, 5.0], requires_grad=True)
-    b = tensor([2.0, 3.0], requires_grad=True)
+    a = tensor([1.0, 5.0])
+    b = tensor([2.0, 3.0])
     root = apply("sum", [ad.minimum(a, b)])
-    grads = backward(root)
-    assert np.allclose(grads.get(a), [1.0, 0.0])
-    assert np.allclose(grads.get(b), [0.0, 1.0])
+    ga, gb = backward(root, [a, b])
+    assert np.allclose(ga, [1.0, 0.0])
+    assert np.allclose(gb, [0.0, 1.0])
 
 
 def test_operator_sugar_matches_apply():
-    x = tensor([1.0, 2.0], requires_grad=True)
+    x = tensor([1.0, 2.0])
     y = tensor([3.0, 4.0])
     out = (x * y - 1.0) / 2.0
     assert np.allclose(out.values, [1.0, 3.5])
-    grads = backward(apply("sum", [out]))
-    assert np.allclose(grads.get(x), [1.5, 2.0])
+    (gx,) = backward(apply("sum", [out]), [x])
+    assert np.allclose(gx, [1.5, 2.0])
+
+
+def _count_matmuls(monkeypatch, executor):
+    calls = []
+    matmul = executor.matmul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(executor, "matmul", counted)
+    return calls
+
+
+def test_backward_skips_gradients_nobody_named(monkeypatch):
+    rng = np.random.default_rng(0)
+    x, w, b = (tensor(rng.standard_normal(s)) for s in [(4, 3), (3, 2), (2,)])
+    calls = _count_matmuls(monkeypatch, ad._EagerExec)
+    (gb,) = backward(apply("sum", [apply("affine", [x, w, b])]), [b])
+    assert np.array_equal(gb, np.full(2, 4.0))
+    assert calls == []  # neither dX nor dW is computed
+    gx, gw = backward(apply("sum", [apply("affine", [x, w, b])]), [x, w])
+    assert len(calls) == 2
+    assert np.allclose(gx, np.ones((4, 2)) @ w.values.T)
+    assert np.allclose(gw, x.values.T @ np.ones((4, 2)))
+
+
+def test_input_gradient_records_only_input_vjps(monkeypatch):
+    rng = np.random.default_rng(1)
+    layers = [(tensor(rng.standard_normal((n, m))), tensor(rng.standard_normal(m)))
+              for n, m in [(5, 4), (4, 4), (4, 1)]]
+    x = tensor(rng.standard_normal((3, 5)))
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = apply("affine", [h, w, b])
+        if i < 2:
+            h = apply("tanh", [h])
+    calls = _count_matmuls(monkeypatch, ad._GraphExec)
+    g = input_gradient(apply("sum", [h]), x)
+    assert len(calls) == 3  # one dX per layer, no dW
+    assert g.shape == x.shape

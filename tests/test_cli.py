@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from laifo import cli
+from laifo import cli, nets
 from laifo.cli import aggregate_runs, load_config, run, verify_instances
 from laifo.imitate import Config
 
@@ -139,6 +139,24 @@ def test_cli_tabular_env_exits_2(tmp_path, capsys):
                     str(tmp_path / "x"), "--frames", "50"])
         assert code == 2
         assert "tabular:mdp-s4-a2" in capsys.readouterr().err
+
+
+def test_cli_sparse_pendulum_exits_1(tmp_path, capsys):
+    code = run(["train-expert", "--env", "pendulum-po", "--reward-mode", "sparse",
+                "--out-dir", str(tmp_path / "x"), "--frames", "1"])
+    assert code == 1
+    assert "error: pendulum-po has only the dense reward" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_record_truncated_checkpoint_exits_1(tmp_path, capsys):
+    ckpt = tmp_path / "expert.ckpt"
+    nets.save_checkpoint(ckpt, [("actor.l0.W", np.ones((4, 2)))])
+    ckpt.write_bytes(ckpt.read_bytes()[:len(nets.CKPT_MAGIC) + 2])
+    code = run(["record", "--env", "pointmass-v", "--ckpt", str(ckpt),
+                "--episodes", "1", "--out", str(tmp_path / "E.laifo")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_report_requires_expert_score(tmp_path):

@@ -113,17 +113,26 @@ def test_fully_observable_wrapper_exposes_state():
 
 def test_clone_rebuilds_from_env_id():
     for env_id in ENV_IDS:
-        env = make_env(env_id, seed=5, reward_mode="sparse")
+        mode = "dense" if env_id == "pendulum-po" else "sparse"
+        env = make_env(env_id, seed=5, reward_mode=mode)
         copy = clone(env)
         assert type(copy) is type(env) and copy is not env
         assert (copy.env_id, copy.reward_mode, copy.obs_shape) == \
-            (env_id, "sparse", env.obs_shape)
+            (env_id, mode, env.obs_shape)
         assert np.array_equal(copy.reset(seed=9), clone(env).reset(seed=9))
-    sparse = make_env("pendulum-po", reward_mode="sparse")
+    sparse = make_env("pointmass-v", reward_mode="sparse")
     wrapped = clone(FullyObservableWrapper(sparse))
     assert isinstance(wrapped, FullyObservableWrapper)
-    assert wrapped.env_id == "pendulum-po" and wrapped.env.reward_mode == "sparse"
-    assert wrapped.reset(seed=1).shape == (2,)
+    assert wrapped.env_id == "pointmass-v" and wrapped.env.reward_mode == "sparse"
+    assert wrapped.reset(seed=1).shape == (sparse.state_dim,)
+
+
+def test_pendulum_refuses_reward_modes_it_lacks():
+    for mode in ("sparse", "bogus"):
+        with pytest.raises(ValueError, match="dense"):
+            make_env("pendulum-po", reward_mode=mode)
+        with pytest.raises(ValueError, match="dense"):
+            envs.PendulumPO(reward_mode=mode)
 
 
 def test_make_tabular_mdp_identity_observation():

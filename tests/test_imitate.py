@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from laifo import imitate, nets
+from laifo import autodiff, imitate, nets
 from laifo.autodiff import apply, backward, finite_diff_check, tensor
 from laifo.envs import make_env
+from laifo.expertgen import record
 from laifo.imitate import (Adam, AgentBundle, CapabilityError, Config,
                            build_bundle, gradient_penalty, imitation_reward,
                            sigma_schedule, train, update_actor, update_critic,
@@ -278,6 +279,28 @@ def test_update_actor_converges_to_quadratic_optimum():
     assert np.all(np.abs(out - 0.3) < 0.01)
 
 
+def test_update_actor_differentiates_only_the_actor(monkeypatch):
+    cfg = small_cfg()
+    bundle = _bundle(cfg, encoder=False, obs=(2,), seed=36)
+    rng = np.random.default_rng(37)
+    windows = rng.standard_normal((8, 1, 2))
+    calls = []
+    matmul = autodiff._EagerExec.matmul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(autodiff._EagerExec, "matmul", counted)
+    critics_before = [p.values.copy() for p in bundle.critics.params()]
+    update_actor(bundle, windows, cfg, sigma=0.1, rng=rng)
+    # critics: dX of 3 layers each; actor: dW of 3 layers and dX of the
+    # upper 2 (its input is a constant)
+    assert len(calls) == 11
+    assert all(np.array_equal(p.values, q)
+               for p, q in zip(bundle.critics.params(), critics_before))
+
+
 def test_losses_pass_finite_difference_checks():
     # acceptance-style gradient check on every loss, tiny nets
     cfg = small_cfg(penalty_weight=10.0)
@@ -408,3 +431,40 @@ def test_rl_plus_videos_uses_env_reward():
                             use_env_reward=True)
     y = r_imit + batch.rewards
     assert loss == pytest.approx(2 * np.mean(y ** 2), rel=1e-9)
+
+
+class _StandStill:
+    def __init__(self, act_dim):
+        self.act_dim = act_dim
+
+    def action(self, state):
+        return np.zeros(self.act_dim)
+
+
+@pytest.mark.parametrize("algo, env_id", [("laifo", "pointmass-v"),
+                                           ("rl_plus_videos", "pointmass-px32"),
+                                           ("dac", "pointmass-v")])
+def test_float32_config_keeps_every_array_float32(algo, env_id, monkeypatch):
+    grad_dtypes = []
+    step = Adam.step
+
+    def recording_step(opt, grads):
+        grad_dtypes.extend(g.dtype for g in grads)
+        step(opt, grads)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    env = make_env(env_id)
+    data = record(env, _StandStill(env.act_dim), 1, seed=0,
+                  use_privileged=algo == "dac", env_id=env_id)
+    cfg = Config(frames=14, warmup=10, batch=4, hidden=8, z_dim=4, d=2,
+                 capacity=64, eval_interval=14, eval_episodes=1, image_size=32,
+                 float32=True)
+    bundle = train(algo, env, data, cfg).bundle
+    assert grad_dtypes and set(grad_dtypes) == {np.dtype(np.float32)}
+    opts = [bundle.actor_opt, bundle.critic_opt, bundle.disc_opt]
+    assert all(opt.t == 4 for opt in opts)
+    for opt in opts:
+        for arr in opt.m + opt.v + [p.values for p in opt.params]:
+            assert arr.dtype == np.float32
+    for name, values in bundle.named_params():
+        assert values.dtype == np.float32, name

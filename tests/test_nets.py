@@ -204,6 +204,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(actor2.values(z), actor.values(z))
 
 
+def test_checkpoint_cut_or_padded_raises_value_error(tmp_path):
+    path = tmp_path / "bundle.ckpt"
+    save_checkpoint(path, [("a", np.ones((2, 3))), ("b", np.zeros(4))])
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    # every cut: inside the magic, the manifest length, the manifest, and
+    # each array, and at each boundary between them
+    for cut in range(len(raw)):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            load_checkpoint(bad)
+    bad.write_bytes(raw + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOT-A-CKPT-1" + b"\x00" * 16)
