@@ -115,14 +115,6 @@ def _as_node(x, like=None):
     return tensor(x)
 
 
-def _as_nodes(a, b):
-    """[a, b] as nodes; a plain number takes the other operand's dtype."""
-    if isinstance(a, TensorNode):
-        return [a, _as_node(b, a)]
-    b = _as_node(b)
-    return [_as_node(a, b), b]
-
-
 # ---------------------------------------------------------------------------
 # Executors: the same VJP rules run either on raw arrays (training) or on
 # graph nodes (when a gradient must stay differentiable).
@@ -182,13 +174,16 @@ class _GraphExec:
         return _as_node(x)
 
     def add(self, a, b):
-        return apply("add", _as_nodes(a, b))
+        a = self.v(a)
+        return apply("add", [a, _as_node(b, a)])
 
     def mul(self, a, b):
-        return apply("mul", _as_nodes(a, b))
+        a = self.v(a)
+        return apply("mul", [a, _as_node(b, a)])
 
     def div(self, a, b):
-        return _apply_private("div", _as_nodes(a, b))
+        a = self.v(a)
+        return _apply_private("div", [a, _as_node(b, a)])
 
     def neg(self, a):
         return -self.v(a)
@@ -322,7 +317,7 @@ def _fw_tanh(attrs, x):
 
 
 def _vjp_tanh(E, g, inputs, out, i):
-    return E.mul(g, E.add(1.0, E.neg(E.mul(out, out))))
+    return E.mul(g, E.add(E.neg(E.mul(out, out)), 1.0))
 
 
 def _fw_relu(attrs, x):
@@ -349,7 +344,7 @@ def _fw_sigmoid(attrs, x):
 
 
 def _vjp_sigmoid(E, g, inputs, out, i):
-    return E.mul(g, E.mul(out, E.add(1.0, E.neg(out))))
+    return E.mul(g, E.mul(out, E.add(E.neg(out), 1.0)))
 
 
 def _fw_log(attrs, x):
@@ -367,7 +362,7 @@ def _fw_square(attrs, x):
 
 
 def _vjp_square(E, g, inputs, out, i):
-    return E.mul(g, E.mul(2.0, inputs[0]))
+    return E.mul(g, E.mul(inputs[0], 2.0))
 
 
 def _fw_sum(attrs, x):
@@ -566,7 +561,8 @@ def minimum(a, b):
 # ---------------------------------------------------------------------------
 
 def _toposort(root, leaves):
-    """The nodes on a path from root to one of `leaves`, inputs first."""
+    """The nodes on a path from root to one of `leaves`, inputs first, and
+    the set of their ids."""
     targets = {id(x) for x in leaves}
     live = set()  # ids of the nodes that reach a target
     order = []
@@ -586,14 +582,13 @@ def _toposort(root, leaves):
         for inp in node.inputs:
             if id(inp) not in seen:
                 stack.append((inp, False))
-    return order
+    return order, live
 
 
 def _run_backward(root, leaves, create_graph):
     """Adjoints by node id, computing only the VJPs on a path to a leaf."""
     E = _GraphExec() if create_graph else _EagerExec()
-    order = _toposort(root, leaves)
-    live = {id(node) for node in order}
+    order, live = _toposort(root, leaves)
     seed = np.ones(root.shape, dtype=root.dtype)
     adjoint = {id(root): _as_node(seed) if create_graph else seed}
     for node in reversed(order):

@@ -254,9 +254,9 @@ def gradient_penalty(disc, expert_pairs, agent_pairs, lam, rng):
     if expert_pairs.shape != agent_pairs.shape:
         raise ValueError(
             f"pair sets differ: {expert_pairs.shape} vs {agent_pairs.shape}")
-    # u takes the pairs' precision, so a float32 learner stays float32
-    u = rng.uniform(size=(len(expert_pairs), 1)).astype(
-        np.result_type(expert_pairs, np.float32))
+    # u takes the discriminator's precision: pairs may be float32 (raw
+    # observations) under a float64 learner
+    u = rng.uniform(size=(len(expert_pairs), 1)).astype(disc.params()[0].dtype)
     interp = tensor(u * expert_pairs + (1.0 - u) * agent_pairs)
     total = apply("sum", [disc.score(interp)])
     grad = input_gradient(total, interp)

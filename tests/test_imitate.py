@@ -101,6 +101,36 @@ def test_gradient_penalty_matches_finite_difference_norms():
     assert pen.values.item() == pytest.approx(expected, abs=1e-3)
 
 
+def test_gradient_penalty_float64_learner_keeps_float32_pairs_exact():
+    # dac and dacfo feed raw float32 observations to a float64 learner; the
+    # interpolants must be formed in float64, as if the pairs were float64
+    cfg = small_cfg()
+    rng = np.random.default_rng(13)
+    expert = rng.normal(size=(8, 6)).astype(np.float32)
+    agent = rng.normal(size=(8, 6)).astype(np.float32)
+    bundles = [_bundle(cfg, pairing="action", encoder=False, obs=(4,), seed=14)
+               for _ in range(2)]
+    seen = []
+    score = bundles[0].disc.score
+    bundles[0].disc.score = lambda x: seen.append(x.values) or score(x)
+    pen32 = gradient_penalty(bundles[0].disc, expert, agent, 10.0,
+                             np.random.default_rng(15))
+    pen64 = gradient_penalty(bundles[1].disc, expert.astype(np.float64),
+                             agent.astype(np.float64), 10.0,
+                             np.random.default_rng(15))
+    u = np.random.default_rng(15).uniform(size=(8, 1))
+    assert seen[0].dtype == np.float64
+    assert np.array_equal(seen[0], u * expert + (1.0 - u) * agent)
+    assert pen32.values.item() == pen64.values.item()
+    del bundles[0].disc.score
+    for b, pairs in zip(bundles, ((expert, agent), (expert.astype(np.float64),
+                                                    agent.astype(np.float64)))):
+        update_discriminator(b, *pairs, cfg, np.random.default_rng(16))
+    for p32, p64 in zip(bundles[0].disc.params(), bundles[1].disc.params()):
+        assert p32.dtype == np.float64
+        assert np.array_equal(p32.values, p64.values)
+
+
 def test_gradient_penalty_length_mismatch():
     rng = np.random.default_rng(4)
     disc = nets.Discriminator(rng, z_dim=2, right_dim=2, hidden=4)
