@@ -18,6 +18,7 @@ from .envs import FullyObservableWrapper, make_env, make_tabular
 from .imitate import CapabilityError, Config
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(Config)}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def load_config(path=None, overrides=None):
@@ -30,7 +31,11 @@ def load_config(path=None, overrides=None):
             raise ValueError(f"unknown config key {key!r} in {where}")
         kind = type(getattr(defaults, key))
         if kind is bool:
-            values[key] = str(raw).lower() in ("1", "true", "yes")
+            word = str(raw).lower()
+            if word not in _BOOLEANS:
+                raise ValueError(f"config key {key!r} in {where} expects one of "
+                                 f"{'/'.join(_BOOLEANS)}, got {raw!r}")
+            values[key] = _BOOLEANS[word]
         elif kind is int:
             values[key] = int(raw)
         else:

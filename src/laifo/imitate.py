@@ -58,7 +58,6 @@ class Config:
     seed: int = 0
     warmup: int = 2000
     capacity: int = 100_000
-    image_size: int = 84
     imit_reward_scale: float = 1.0
     bc_steps: int = 10_000
     stop_at_return: float = 0.0      # 0 disables early stopping
@@ -213,10 +212,11 @@ def _squeeze_windows(windows):
 
 
 def build_bundle(cfg, obs_shape, act_dim, pairing, rng, encoder=True,
-                 pixel=False, with_disc=True):
+                 with_disc=True):
+    """Networks and optimizers; 2-D (pixel) observations get a conv encoder."""
     dtype = cfg.dtype
     if encoder:
-        if pixel:
+        if len(obs_shape) == 2:
             enc = nets.PixelEncoder(rng, obs_shape[0], cfg.d, cfg.z_dim, dtype=dtype)
         else:
             enc = nets.VectorEncoder(rng, obs_shape[0], cfg.d, cfg.z_dim,
@@ -287,18 +287,12 @@ def update_discriminator(bundle, expert_pairs, agent_pairs, cfg, rng):
     return main.values.item(), pen_value
 
 
-def imitation_reward(disc, z, right):
-    """r = D(z, z') (or D(z, a) in action pairing), strictly inside (0, 1)."""
-    return nets.discriminate(disc, z, right)
-
-
-def update_critic(bundle, batch, cfg, sigma, rng, pixel=False,
-                  use_env_reward=False):
+def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
     """Regress both critics (and the encoder, when present) onto the
     bootstrapped target; the target itself carries no gradient."""
     if bundle.enc is not None:
-        win = augment.random_shift_batch(batch.windows, cfg.pad if pixel else 0, rng)
-        nxt = augment.random_shift_batch(batch.next_windows, cfg.pad if pixel else 0, rng)
+        win = augment.random_shift_batch(batch.windows, cfg.pad, rng)
+        nxt = augment.random_shift_batch(batch.next_windows, cfg.pad, rng)
         z_node = bundle.enc.forward(win)
         z = z_node.values
         z_next = bundle.enc.values(nxt)
@@ -310,7 +304,7 @@ def update_critic(bundle, batch, cfg, sigma, rng, pixel=False,
     actions = batch.actions.astype(z.dtype)
     if bundle.disc is not None:
         right = actions if bundle.disc.pairing == "action" else z_next
-        r = cfg.imit_reward_scale * imitation_reward(bundle.disc, z, right)
+        r = cfg.imit_reward_scale * nets.discriminate(bundle.disc, z, right)
     else:
         r = np.zeros(len(z))
     if use_env_reward:
@@ -327,11 +321,11 @@ def update_critic(bundle, batch, cfg, sigma, rng, pixel=False,
     return loss.values.item(), float(r.mean())
 
 
-def update_actor(bundle, windows, cfg, sigma, rng, pixel=False):
+def update_actor(bundle, windows, cfg, sigma, rng):
     """Ascend min_k Q(z, pi(z) + clipped noise) in the actor parameters
     only; encoder and critics read but do not move."""
     if bundle.enc is not None:
-        win = augment.random_shift_batch(windows, cfg.pad if pixel else 0, rng)
+        win = augment.random_shift_batch(windows, cfg.pad, rng)
         z = bundle.enc.values(win)
     else:
         z = _squeeze_windows(windows)
@@ -453,15 +447,13 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     fully_obs = algo in _FULL_STATE_ALGOS
     expert = algo == EXPERT
     pairing = "action" if algo in ("lail", "dac") else "transition"
-    pixel = len(env.obs_shape) == 2
     d = 1 if fully_obs else cfg.d
     frames = cfg.frames if frames is None else frames
     cfg = replace(cfg, d=d, frames=max(frames, 1))
 
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, pairing, rng,
-                          encoder=not fully_obs, pixel=pixel,
-                          with_disc=expert_data is not None)
+                          encoder=not fully_obs, with_disc=expert_data is not None)
     buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
     sampler = ExpertWindowSampler(expert_data, d) if expert_data is not None else None
     use_env_reward = algo in _ENV_REWARD_ALGOS
@@ -507,14 +499,13 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
 
         if t > cfg.warmup:
             if bundle.disc is not None:
-                disc_loss, _ = _disc_step(bundle, buffer, sampler, cfg, pairing,
-                                          pixel, rng)
+                disc_loss, _ = _disc_step(bundle, buffer, sampler, cfg, pairing, rng)
             batch = buffer.sample_stacked(cfg.batch, d, rng)
             critic_loss, imit_mean = update_critic(
-                bundle, batch, cfg, sigma_t, rng, pixel, use_env_reward)
+                bundle, batch, cfg, sigma_t, rng, use_env_reward)
             imit_sum += imit_mean
             imit_n += 1
-            actor_loss = update_actor(bundle, batch.windows, cfg, sigma_t, rng, pixel)
+            actor_loss = update_actor(bundle, batch.windows, cfg, sigma_t, rng)
 
         if t % cfg.eval_interval == 0 or t == frames:
             report.rows.append(eval_row(t))
@@ -529,30 +520,28 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     return report
 
 
-def _disc_step(bundle, buffer, sampler, cfg, pairing, pixel, rng):
-    batch = buffer.sample_stacked(cfg.batch, cfg.d, rng)
-    e_win, e_act, e_nxt = sampler.sample(cfg.batch, rng,
-                                         with_actions=pairing == "action")
-    a_t, a_t1 = augment.augment_pair(batch.windows, batch.next_windows,
-                                     cfg.pad if pixel else 0, rng)
-    e_t, e_t1 = augment.augment_pair(e_win, e_nxt, cfg.pad if pixel else 0, rng)
-    za, za_next = bundle.latent(a_t), bundle.latent(a_t1)
-    ze, ze_next = bundle.latent(e_t), bundle.latent(e_t1)
-    if pairing == "action":
-        agent_pairs = np.concatenate([za, batch.actions.astype(za.dtype)], axis=1)
-        expert_pairs = np.concatenate([ze, e_act.astype(ze.dtype)], axis=1)
-    else:
-        agent_pairs = np.concatenate([za, za_next], axis=1)
-        expert_pairs = np.concatenate([ze, ze_next], axis=1)
-    return update_discriminator(bundle, expert_pairs, agent_pairs, cfg, rng)
+def _disc_step(bundle, buffer, sampler, cfg, pairing, rng):
+    agent = buffer.sample_stacked(cfg.batch, cfg.d, rng)
+    expert = sampler.sample(cfg.batch, rng, with_actions=pairing == "action")
+
+    def pairs(batch):
+        # (z, a) or (z, z') rows from independently augmented windows
+        w_t, w_t1 = augment.augment_pair(batch.windows, batch.next_windows,
+                                         cfg.pad, rng)
+        z = bundle.latent(w_t)
+        right = (batch.actions.astype(z.dtype) if pairing == "action"
+                 else bundle.latent(w_t1))
+        return np.concatenate([z, right], axis=1)
+
+    agent_pairs = pairs(agent)  # first, so the augmentation draws keep their order
+    return update_discriminator(bundle, pairs(expert), agent_pairs, cfg, rng)
 
 
 def train_bc(env, expert_data, cfg):
     """Supervised regression of expert actions from observation windows."""
     rng = np.random.default_rng(cfg.seed)
-    pixel = len(env.obs_shape) == 2
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, "action", rng,
-                          encoder=True, pixel=pixel, with_disc=False)
+                          with_disc=False)
     sampler = ExpertWindowSampler(expert_data, cfg.d)
     params = bundle.actor.params() + bundle.enc.params()
     opt = Adam(params, cfg.lr)
@@ -562,10 +551,10 @@ def train_bc(env, expert_data, cfg):
     start = time.perf_counter()
     loss_value = 0.0
     for step in range(1, cfg.bc_steps + 1):
-        wins, acts, _ = sampler.sample(cfg.batch, rng, with_actions=True)
-        z = bundle.enc.forward(wins)
-        pred = bundle.actor.forward(z)
-        loss = apply("mean", [apply("square", [pred - tensor(acts.astype(cfg.dtype))])])
+        batch = sampler.sample(cfg.batch, rng, with_actions=True)
+        pred = bundle.actor.forward(bundle.enc.forward(batch.windows))
+        target = tensor(batch.actions.astype(cfg.dtype))
+        loss = apply("mean", [apply("square", [pred - target])])
         opt.step(backward(loss, opt.params))
         loss_value = loss.values.item()
         if step % cfg.eval_interval == 0 or step == cfg.bc_steps:

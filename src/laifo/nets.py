@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import TensorNode, apply, sigmoid_values, tensor
-from .replay import _read_exact
+from .replay import _read_exact, _require
 
 CKPT_MAGIC = b"LAIFO-CKPT1"
 
@@ -355,11 +355,13 @@ def load_checkpoint(path):
         (n,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint manifest length"))
         manifest = json.loads(_read_exact(f, n, "checkpoint manifest").decode("utf-8"))
         out = {}
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
+        (entries,) = _require(manifest, ("params",), "checkpoint manifest")
+        for entry in entries:
+            name, shape = _require(entry, ("name", "shape"), "checkpoint manifest entry")
+            shape = tuple(shape)
             count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, count * 8, f"checkpoint array {entry['name']}")
-            out[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            raw = _read_exact(f, count * 8, f"checkpoint array {name}")
+            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise ValueError("trailing bytes after the last checkpoint array")
         return out

@@ -4,7 +4,9 @@ assembly with episode-boundary handling, and the expert dataset format.
 A pushed frame carries the action/reward of the transition *into* it;
 the first frame of an episode is pushed with action=None. Windows are
 front-padded by repeating the earliest frame of the episode, so the
-encoder always sees exactly d frames.
+encoder always sees exactly d frames. There is one window-assembly path:
+the expert sampler pushes its dataset into a ring of exactly its size
+and gathers through the same code as the agent's buffer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ DATASET_MAGIC = b"LAIFO1"
 @dataclass
 class StackedBatch:
     windows: np.ndarray        # (B, d, *obs)
-    actions: np.ndarray        # (B, *act)
+    actions: np.ndarray | None  # (B, *act)
     rewards: np.ndarray        # (B,)
     next_windows: np.ndarray   # (B, d, *obs)
 
@@ -37,10 +39,8 @@ class ReplayBuffer:
         self._act = np.zeros((self.capacity, *self.act_shape), dtype=np.float32)
         self._rew = np.zeros(self.capacity, dtype=np.float64)
         self._episode = np.full(self.capacity, -1, dtype=np.int64)
-        self._done = np.zeros(self.capacity, dtype=bool)
         self._idx = 0          # next slot to write
         self.size = 0          # frames currently stored
-        self._n_trans = 0      # stored consecutive same-episode pairs
         self._ep_counter = -1
         self._prev_done = True
 
@@ -60,23 +60,13 @@ class ReplayBuffer:
                     f"action shape {act.shape} does not match buffer {self.act_shape}")
             if self._prev_done:
                 raise ValueError("first frame after reset must be pushed with action=None")
-        new_episode = self._prev_done
-        if new_episode:
+        if self._prev_done:
             self._ep_counter += 1
         i = self._idx
-        if self.size == self.capacity:
-            # overwriting the oldest frame kills the transition it started
-            j = (i + 1) % self.capacity
-            if self._episode[i] >= 0 and self._episode[j] == self._episode[i]:
-                self._n_trans -= 1
         self._obs[i] = obs
         self._act[i] = act
         self._rew[i] = reward
         self._episode[i] = self._ep_counter
-        self._done[i] = done
-        prev = (i - 1) % self.capacity
-        if not new_episode and self._episode[prev] == self._ep_counter:
-            self._n_trans += 1
         self._idx = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         self._prev_done = bool(done)
@@ -99,7 +89,7 @@ class ReplayBuffer:
         return idx[ok]
 
     def n_transitions(self):
-        return self._n_trans
+        return len(self._transition_sources())
 
     def _sample_sources(self, batch, rng):
         """Uniform transition sources by rejection from stored slots."""
@@ -137,9 +127,12 @@ class ReplayBuffer:
     def sample_stacked(self, batch, d, rng):
         if d < 1:
             raise ValueError("d must be >= 1")
-        if self._n_trans == 0:
+        if self.size < 2:
             raise ValueError("buffer holds no complete transition")
-        picks = self._sample_sources(batch, rng)
+        return self._gather(self._sample_sources(batch, rng), d)
+
+    def _gather(self, picks, d):
+        """The StackedBatch of the transitions starting at slots `picks`."""
         succ = (picks + 1) % self.capacity
         wins = self._obs[self._window_indices(picks, d)]
         nxt_wins = self._obs[self._window_indices(succ, d)]
@@ -230,6 +223,15 @@ def _read_exact(f, n, what):
     return raw
 
 
+def _require(header, keys, what):
+    """The values of `keys` in a decoded JSON header; a ValueError names the
+    first key it lacks."""
+    missing = [k for k in keys if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]!r} entry")
+    return [header[k] for k in keys]
+
+
 def load_dataset(path):
     with open(path, "rb") as f:
         magic = f.read(len(DATASET_MAGIC))
@@ -237,77 +239,71 @@ def load_dataset(path):
             raise ValueError(f"bad dataset magic {magic!r}")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4, "dataset header length"))
         header = json.loads(_read_exact(f, hlen, "dataset header").decode("utf-8"))
-        obs_shape = tuple(header["obs_shape"])
-        act_shape = tuple(header["act_shape"])
+        env_id, obs_shape, act_shape, n_episodes, has_a, has_r = _require(
+            header, ("env", "obs_shape", "act_shape", "episodes", "has_actions",
+                     "has_rewards"), "dataset header")
+        obs_shape, act_shape = tuple(obs_shape), tuple(act_shape)
         obs_size = int(np.prod(obs_shape))
         act_size = int(np.prod(act_shape)) if act_shape else 1
         episodes = []
-        for _ in range(header["episodes"]):
+        for _ in range(n_episodes):
             head = f.read(4)
             if len(head) != 4:
                 raise ValueError(
-                    f"dataset header promises {header['episodes']} episodes, "
+                    f"dataset header promises {n_episodes} episodes, "
                     f"found only {len(episodes)}")
             (n,) = struct.unpack("<I", head)
             obs = np.frombuffer(
                 _read_exact(f, 4 * n * obs_size, "dataset observations"), dtype="<f4"
             ).reshape(n, *obs_shape).copy()
             actions = rewards = None
-            if header["has_actions"]:
+            if has_a:
                 actions = np.frombuffer(
                     _read_exact(f, 4 * (n - 1) * act_size, "dataset actions"), dtype="<f4"
                 ).reshape(n - 1, *act_shape).copy()
-            if header["has_rewards"]:
+            if has_r:
                 rewards = np.frombuffer(
                     _read_exact(f, 4 * (n - 1), "dataset rewards"), dtype="<f4").copy()
             episodes.append(Episode(obs, actions, rewards))
         if f.read(1):
             raise ValueError("trailing bytes after declared episodes")
-    ds = ExpertDataset(header["env"], obs_shape, act_shape, episodes)
+    ds = ExpertDataset(env_id, obs_shape, act_shape, episodes)
     ds.validate()
     return ds
 
 
 class ExpertWindowSampler:
     """Uniform sampler of stacked transition windows from an immutable
-    expert dataset, padded exactly like the agent buffer."""
+    expert dataset. The episodes are pushed into a ring of exactly their
+    frame count, so the windows are those of the agent's buffer."""
 
     def __init__(self, dataset, d):
         if dataset.count == 0:
             raise ValueError("empty expert dataset")
+        if any(len(ep) < 2 for ep in dataset.episodes):
+            raise ValueError("every expert episode needs at least 2 observations")
         self.dataset = dataset
         self.d = d
-        counts = np.array([len(ep) - 1 for ep in dataset.episodes])
-        if np.any(counts < 1):
-            raise ValueError("every expert episode needs at least 2 observations")
-        self._ep_of = np.repeat(np.arange(dataset.count), counts)
-        self._t_of = np.concatenate([np.arange(c) for c in counts])
-        # flatten all episodes for vectorized window gathering
-        self._obs = np.concatenate([ep.observations for ep in dataset.episodes])
-        offsets = np.cumsum([0] + [len(ep) for ep in dataset.episodes])
-        self._start = offsets[:-1]
-        if dataset.has_actions:
-            self._acts = np.concatenate([ep.actions for ep in dataset.episodes])
-            self._act_start = np.cumsum([0] + [len(ep) - 1
-                                               for ep in dataset.episodes])[:-1]
-        else:
-            self._acts = None
-
-    def n_transitions(self):
-        return len(self._ep_of)
-
-    def _windows(self, eps, ts):
-        # front-padding is clamping the in-episode index at 0
-        steps = np.arange(-(self.d - 1), 1)
-        rel = np.maximum(ts[:, None] + steps, 0)
-        return self._obs[self._start[eps][:, None] + rel]
+        self._ring = ReplayBuffer(sum(len(ep) for ep in dataset.episodes),
+                                  dataset.obs_shape, dataset.act_shape)
+        no_action = np.zeros(self._ring.act_shape, dtype=np.float32)
+        for ep in dataset.episodes:
+            self._ring.push(ep.observations[0], None)
+            for t in range(1, len(ep)):
+                self._ring.push(
+                    ep.observations[t],
+                    no_action if ep.actions is None else ep.actions[t - 1],
+                    0.0 if ep.rewards is None else ep.rewards[t - 1],
+                    done=t == len(ep) - 1)
+        self._sources = self._ring._transition_sources()
 
     def sample(self, batch, rng, with_actions=False):
-        picks = rng.integers(0, len(self._ep_of), size=batch)
-        eps, ts = self._ep_of[picks], self._t_of[picks]
-        acts = None
-        if with_actions:
-            if self._acts is None:
-                raise ValueError("expert dataset has no actions")
-            acts = self._acts[self._act_start[eps] + ts].copy()
-        return self._windows(eps, ts), acts, self._windows(eps, ts + 1)
+        """A StackedBatch of uniformly drawn transitions; its actions are
+        None unless `with_actions`."""
+        picks = self._sources[rng.integers(0, len(self._sources), size=batch)]
+        if with_actions and not self.dataset.has_actions:
+            raise ValueError("expert dataset has no actions")
+        out = self._ring._gather(picks, self.d)
+        if not with_actions:
+            out.actions = None
+        return out

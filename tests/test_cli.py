@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ def test_load_config_defaults_match_reference_values(tmp_path):
     assert cfg.tau == 0.01
     assert cfg.clip_c == 0.3
     assert cfg.pad == 4
-    assert cfg.image_size == 84
     assert cfg.eval_episodes == 10
+    # the pixel size comes from the environment id, not the configuration
+    with pytest.raises(ValueError, match="unknown config key 'image_size'"):
+        load_config(None, {"image_size": 32})
 
 
 def test_load_config_rejects_invalid_values(tmp_path):
@@ -35,6 +38,24 @@ def test_load_config_rejects_invalid_values(tmp_path):
     unknown.write_text("niceness=3\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(unknown)
+
+
+def test_load_config_booleans_are_strict(tmp_path):
+    for raw, want in (("1", True), ("TRUE", True), ("Yes", True),
+                      ("0", False), ("False", False), ("NO", False)):
+        assert load_config(None, {"float32": raw}).float32 is want
+    f = tmp_path / "typo.cfg"
+    f.write_text("float32=ture\n")
+    with pytest.raises(ValueError, match="'float32'.*'ture'"):
+        load_config(f)
+
+
+def test_cli_misspelt_boolean_exits_1(tmp_path, capsys):
+    code = run(["train-expert", "--env", "pointmass-v", "--out-dir",
+                str(tmp_path / "x"), "--frames", "1", "--set", "float32=ture"])
+    assert code == 1
+    assert "error: config key 'float32'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_load_config_overrides_beat_file(tmp_path):
@@ -157,6 +178,16 @@ def test_cli_record_truncated_checkpoint_exits_1(tmp_path, capsys):
                 "--episodes", "1", "--out", str(tmp_path / "E.laifo")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_record_manifest_without_params_exits_1(tmp_path, capsys):
+    ckpt = tmp_path / "expert.ckpt"
+    ckpt.write_bytes(nets.CKPT_MAGIC + struct.pack("<I", 2) + b"{}")
+    code = run(["record", "--env", "pointmass-v", "--ckpt", str(ckpt),
+                "--episodes", "1", "--out", str(tmp_path / "E.laifo")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: checkpoint manifest has no 'params' entry\n"
 
 
 def test_report_requires_expert_score(tmp_path):

@@ -6,10 +6,9 @@ from laifo.autodiff import apply, backward, finite_diff_check, tensor
 from laifo.envs import make_env
 from laifo.expertgen import record
 from laifo.imitate import (Adam, AgentBundle, CapabilityError, Config,
-                           build_bundle, gradient_penalty, imitation_reward,
-                           sigma_schedule, train, update_actor, update_critic,
+                           build_bundle, gradient_penalty, sigma_schedule, train, update_actor, update_critic,
                            update_discriminator)
-from laifo.replay import Episode, ExpertDataset, ReplayBuffer
+from laifo.replay import Episode, ExpertDataset, ExpertWindowSampler, ReplayBuffer
 
 
 def small_cfg(**kw):
@@ -145,7 +144,7 @@ def test_update_discriminator_converges_to_half_on_identical_batches():
     pairs = rng.normal(size=(8, 12))
     for _ in range(2000):
         update_discriminator(bundle, pairs, pairs, cfg, rng)
-    p = imitation_reward(bundle.disc, pairs[:, :6], pairs[:, 6:])
+    p = nets.discriminate(bundle.disc, pairs[:, :6], pairs[:, 6:])
     assert np.mean(np.abs(p - 0.5)) < 0.05
 
 
@@ -163,8 +162,8 @@ def test_update_discriminator_separates_clouds_and_penalty_tames_gradients():
         return bundle
 
     b_plain = run(0.0)
-    p_e = imitation_reward(b_plain.disc, expert[:, :6], expert[:, 6:])
-    p_a = imitation_reward(b_plain.disc, agent[:, :6], agent[:, 6:])
+    p_e = nets.discriminate(b_plain.disc, expert[:, :6], expert[:, 6:])
+    p_a = nets.discriminate(b_plain.disc, agent[:, :6], agent[:, 6:])
     assert p_e.mean() > p_a.mean()  # expert pairs scored higher
 
     b_pen = run(10.0)
@@ -216,7 +215,7 @@ def test_update_critic_gamma_zero_targets_reward_only():
     batch = _toy_batch(rng, cfg)
     z = bundle.latent(batch.windows)
     z_next = bundle.latent(batch.next_windows)
-    r = imitation_reward(bundle.disc, z, z_next)
+    r = nets.discriminate(bundle.disc, z, z_next)
     # critics have zero-initialized heads, so loss = mean(r^2) * 2 exactly
     loss, imit_mean = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng)
     assert loss == pytest.approx(2 * np.mean(r ** 2), rel=1e-12)
@@ -237,7 +236,7 @@ def test_update_critic_matches_hand_computed_loss():
 
     z = bundle.latent(batch.windows)
     z_next = bundle.latent(batch.next_windows)
-    r = imitation_reward(bundle.disc, z, z_next)
+    r = nets.discriminate(bundle.disc, z, z_next)
     rng_clone = np.random.default_rng(18)
     a_next = nets.act(bundle.actor, z_next, 0.1, cfg.clip_c, rng_clone)
     q1t, q2t = bundle.critics.values(z_next, a_next, use_target=True)
@@ -369,11 +368,10 @@ def test_bc_recovers_linear_policy():
     cfg = small_cfg(d=1, bc_steps=3000, lr=1e-3, batch=32, eval_interval=10**9)
     env = make_env("pointmass-v")
     report = train("bc", env, ds, cfg)
-    wins, acts, _ = __import__("laifo.replay", fromlist=["ExpertWindowSampler"]) \
-        .ExpertWindowSampler(ds, 1).sample(256, np.random.default_rng(28),
-                                           with_actions=True)
-    pred = report.bundle.actor.values(report.bundle.enc.values(wins))
-    mse = float(np.mean((pred - acts) ** 2))
+    batch = ExpertWindowSampler(ds, 1).sample(256, np.random.default_rng(28),
+                                              with_actions=True)
+    pred = report.bundle.actor.values(report.bundle.enc.values(batch.windows))
+    mse = float(np.mean((pred - batch.actions) ** 2))
     assert mse < 1e-3
 
 
@@ -443,7 +441,7 @@ def test_imitation_reward_bounds_and_target_bound():
     rng = np.random.default_rng(33)
     z = rng.standard_normal((100, cfg.z_dim))
     zn = rng.standard_normal((100, cfg.z_dim))
-    r = imitation_reward(bundle.disc, z, zn)
+    r = nets.discriminate(bundle.disc, z, zn)
     assert np.all((r > 0) & (r < 1))
     # discounted imitation return is bounded by 1/(1-gamma)
     assert r.max() / (1 - 0.99) <= 100.0 + 1e-9
@@ -456,7 +454,7 @@ def test_rl_plus_videos_uses_env_reward():
     batch = _toy_batch(rng, cfg)
     z = bundle.latent(batch.windows)
     z_next = bundle.latent(batch.next_windows)
-    r_imit = imitation_reward(bundle.disc, z, z_next)
+    r_imit = nets.discriminate(bundle.disc, z, z_next)
     loss, _ = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng,
                             use_env_reward=True)
     y = r_imit + batch.rewards
@@ -487,8 +485,7 @@ def test_float32_config_keeps_every_array_float32(algo, env_id, monkeypatch):
     data = record(env, _StandStill(env.act_dim), 1, seed=0,
                   use_privileged=algo == "dac", env_id=env_id)
     cfg = Config(frames=14, warmup=10, batch=4, hidden=8, z_dim=4, d=2,
-                 capacity=64, eval_interval=14, eval_episodes=1, image_size=32,
-                 float32=True)
+                 capacity=64, eval_interval=14, eval_episodes=1, float32=True)
     bundle = train(algo, env, data, cfg).bundle
     assert grad_dtypes and set(grad_dtypes) == {np.dtype(np.float32)}
     opts = [bundle.actor_opt, bundle.critic_opt, bundle.disc_opt]

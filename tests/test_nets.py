@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from laifo import nets
 from laifo.autodiff import apply, backward, finite_diff_check, tensor
-from laifo.nets import (Actor, Discriminator, PixelEncoder, TwinCritics,
-                        VectorEncoder, act, discriminate, load_checkpoint,
-                        save_checkpoint)
+from laifo.nets import (CKPT_MAGIC, Actor, Discriminator, PixelEncoder,
+                        TwinCritics, VectorEncoder, act, discriminate,
+                        load_checkpoint, save_checkpoint)
 
 
 def make_rng(seed=0):
@@ -218,6 +220,15 @@ def test_checkpoint_cut_or_padded_raises_value_error(tmp_path):
     bad.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_manifest_missing_keys_raise_value_error(tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    for manifest, key in ((b"{}", "params"), (b'{"params": [{"shape": [1]}]}', "name"),
+                          (b'{"params": [{"name": "a"}]}', "shape")):
+        bad.write_bytes(CKPT_MAGIC + struct.pack("<I", len(manifest)) + manifest)
+        with pytest.raises(ValueError, match=f"checkpoint manifest.*'{key}'"):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_bad_magic(tmp_path):

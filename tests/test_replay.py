@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from laifo.replay import (Episode, ExpertDataset, ExpertWindowSampler,
-                          ReplayBuffer, load_dataset, save_dataset)
+from laifo.replay import (DATASET_MAGIC, Episode, ExpertDataset,
+                          ExpertWindowSampler, ReplayBuffer, load_dataset,
+                          save_dataset)
 
 
 def _push_episode(buf, frames, done_last=True):
@@ -100,6 +104,11 @@ def test_empty_buffer_sampling_errors():
     buf = ReplayBuffer(capacity=8, obs_shape=(1,), act_shape=(1,))
     with pytest.raises(ValueError, match="transition"):
         buf.sample_stacked(1, d=2, rng=np.random.default_rng(0))
+    # two one-frame episodes: frames stored, but no transition
+    buf.push(np.zeros(1), action=None, done=True)
+    buf.push(np.zeros(1), action=None, done=True)
+    with pytest.raises(ValueError, match="transition"):
+        buf.sample_stacked(1, d=2, rng=np.random.default_rng(0))
 
 
 def _toy_dataset(with_actions=True, with_rewards=True, env="pointmass-v"):
@@ -155,6 +164,29 @@ def test_dataset_truncated_payload(tmp_path):
         load_dataset(bad)
 
 
+def test_dataset_header_missing_keys(tmp_path):
+    path = tmp_path / "e.laifo"
+    save_dataset(_toy_dataset(), path)
+    raw = path.read_bytes()
+    at = len(DATASET_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", raw[at - 4:at])
+    full = json.loads(raw[at:at + hlen])
+    bad = tmp_path / "bad.laifo"
+
+    def write(header):
+        text = json.dumps(header).encode()
+        bad.write_bytes(DATASET_MAGIC + struct.pack("<I", len(text)) + text)
+
+    write({})
+    with pytest.raises(ValueError, match="dataset header has no 'env' entry"):
+        load_dataset(bad)
+    for key in ("env", "obs_shape", "act_shape", "episodes", "has_actions",
+                "has_rewards"):
+        write({k: v for k, v in full.items() if k != key})
+        with pytest.raises(ValueError, match=f"dataset header has no '{key}' entry"):
+            load_dataset(bad)
+
+
 def test_dataset_without_actions_flagged(tmp_path):
     ds = _toy_dataset(with_actions=False)
     path = tmp_path / "noact.laifo"
@@ -169,6 +201,53 @@ def test_dataset_without_actions_flagged(tmp_path):
 def test_expert_sampler_windows_match_agent_padding():
     ds = _toy_dataset()
     sampler = ExpertWindowSampler(ds, d=3)
-    wins, acts, nxt = sampler.sample(64, np.random.default_rng(7), with_actions=True)
-    assert wins.shape == (64, 3, 2) and acts.shape == (64, 2)
-    assert np.allclose(nxt[:, :-1], wins[:, 1:])
+    batch = sampler.sample(64, np.random.default_rng(7), with_actions=True)
+    assert batch.windows.shape == (64, 3, 2) and batch.actions.shape == (64, 2)
+    assert np.allclose(batch.next_windows[:, :-1], batch.windows[:, 1:])
+    assert sampler.sample(8, np.random.default_rng(7)).actions is None
+
+
+def _clamped_reference(dataset, d, batch, rng, with_actions):
+    """Expert windows by clamping each in-episode index at the episode's
+    first frame: the (window, action, next window) triples the sampler
+    must produce for the same generator."""
+    counts = [len(ep) - 1 for ep in dataset.episodes]
+    ep_of = np.repeat(np.arange(dataset.count), counts)
+    t_of = np.concatenate([np.arange(c) for c in counts])
+    obs = np.concatenate([ep.observations for ep in dataset.episodes])
+    start = np.cumsum([0] + [len(ep) for ep in dataset.episodes])[:-1]
+    picks = rng.integers(0, len(ep_of), size=batch)
+    eps, ts = ep_of[picks], t_of[picks]
+
+    def windows(t):
+        return obs[start[eps][:, None] + np.maximum(t[:, None] + np.arange(1 - d, 1), 0)]
+
+    acts = None
+    if with_actions:
+        acts = np.stack([dataset.episodes[e].actions[t] for e, t in zip(eps, ts)])
+    return windows(ts), acts, windows(ts + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("obs_shape", [(3,), (6, 6)])
+def test_expert_sampler_matches_clamped_reference(d, obs_shape):
+    rng = np.random.default_rng(40 + d)
+    eps = [Episode(rng.standard_normal((n, *obs_shape)).astype(np.float32),
+                   rng.standard_normal((n - 1, 2)).astype(np.float32),
+                   rng.standard_normal(n - 1).astype(np.float32))
+           for n in (2, 5, 2, 9, 3, 2)]
+    ds = ExpertDataset("pointmass-v", obs_shape, (2,), eps)
+    sampler = ExpertWindowSampler(ds, d)
+    for with_actions in (False, True):
+        got_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):
+            batch = sampler.sample(50, got_rng, with_actions=with_actions)
+            wins, acts, nxt = _clamped_reference(ds, d, 50, ref_rng, with_actions)
+            assert batch.windows.dtype == wins.dtype
+            assert np.array_equal(batch.windows, wins)
+            assert np.array_equal(batch.next_windows, nxt)
+            if with_actions:
+                assert np.array_equal(batch.actions, acts)
+            else:
+                assert batch.actions is None
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state

@@ -18,7 +18,7 @@ def tiny_cfg():
     # 4 update steps after a 10-frame warmup, one evaluation at the end
     return Config(frames=14, warmup=10, batch=4, hidden=8, z_dim=4, d=2,
                   capacity=64, eval_interval=14, eval_episodes=1, bc_steps=3,
-                  image_size=32, seed=0)
+                  seed=0)
 
 
 class StandStill:
