@@ -116,16 +116,30 @@ def _as_node(x, like=None):
 
 
 # ---------------------------------------------------------------------------
-# Executors: the same VJP rules run either on raw arrays (training) or on
-# graph nodes (when a gradient must stay differentiable).
+# Executors: the same VJP rules, and the same network forward passes, run
+# either on raw arrays or on graph nodes (when the result must stay
+# differentiable). `EAGER` and `GRAPH` are the two instances.
 # ---------------------------------------------------------------------------
 
 class _EagerExec:
-    graph = False
-
     @staticmethod
     def v(x):
         return x.values if isinstance(x, TensorNode) else x
+
+    def op(self, kind, *xs, **attrs):
+        """Any kind of the operation table, on arrays."""
+        return _OPS[kind][0](attrs, *map(self.v, xs))
+
+    # Network layers. The operand is an array and the parameters are
+    # leaves, read in place: no per-operand type check on the acting path.
+    def affine(self, x, w, b):
+        return x @ w.values + b.values
+
+    def relu(self, x):
+        return np.maximum(x, 0.0)
+
+    def tanh(self, x):
+        return np.tanh(x)
 
     def add(self, a, b):
         return self.v(a) + self.v(b)
@@ -142,36 +156,27 @@ class _EagerExec:
     def matmul(self, a, b):
         return self.v(a) @ self.v(b)
 
-    def transpose(self, a):
-        return self.v(a).T
-
     def sum(self, a, axis=None, keepdims=False):
         return np.sum(self.v(a), axis=axis, keepdims=keepdims)
 
-    def reshape(self, a, shape):
-        return self.v(a).reshape(shape)
-
-    def slice(self, a, key):
-        return self.v(a)[key]
-
-    def scatter_slice(self, a, shape, key):
-        out = np.zeros(shape, dtype=np.asarray(self.v(a)).dtype)
-        out[key] = self.v(a)
-        return out
-
-    def im2col(self, a, kh, kw, stride):
-        return _im2col_values(self.v(a), kh, kw, stride)
-
-    def col2im(self, a, x_shape, kh, kw, stride):
-        return _col2im_values(self.v(a), x_shape, kh, kw, stride)
-
 
 class _GraphExec:
-    graph = True
-
     @staticmethod
     def v(x):
         return _as_node(x)
+
+    def op(self, kind, *xs, **attrs):
+        """Any kind of the operation table, as a graph node."""
+        return _apply_private(kind, [self.v(x) for x in xs], **attrs)
+
+    def affine(self, x, w, b):
+        return apply("affine", [x, w, b])
+
+    def relu(self, x):
+        return apply("relu", [x])
+
+    def tanh(self, x):
+        return apply("tanh", [x])
 
     def add(self, a, b):
         a = self.v(a)
@@ -191,27 +196,12 @@ class _GraphExec:
     def matmul(self, a, b):
         return apply("matmul", [self.v(a), self.v(b)])
 
-    def transpose(self, a):
-        return _apply_private("transpose", [self.v(a)])
-
     def sum(self, a, axis=None, keepdims=False):
         return apply("sum", [self.v(a)], axis=axis, keepdims=keepdims)
 
-    def reshape(self, a, shape):
-        return _apply_private("reshape", [self.v(a)], shape=tuple(shape))
 
-    def slice(self, a, key):
-        return _apply_private("slice", [self.v(a)], key=key)
-
-    def scatter_slice(self, a, shape, key):
-        return _apply_private("scatter_slice", [self.v(a)], shape=tuple(shape), key=key)
-
-    def im2col(self, a, kh, kw, stride):
-        return _apply_private("im2col", [self.v(a)], kh=kh, kw=kw, stride=stride)
-
-    def col2im(self, a, x_shape, kh, kw, stride):
-        return _apply_private("col2im", [self.v(a)], x_shape=tuple(x_shape),
-                              kh=kh, kw=kw, stride=stride)
+EAGER = _EagerExec()
+GRAPH = _GraphExec()
 
 
 def _unbroadcast(E, g, shape):
@@ -225,7 +215,7 @@ def _unbroadcast(E, g, shape):
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = E.sum(g, axis=axes, keepdims=True)
-    return E.reshape(g, shape)
+    return E.op("reshape", g, shape=tuple(shape))
 
 
 def _im2col_values(x, kh, kw, stride):
@@ -294,7 +284,7 @@ def _fw_matmul(attrs, a, b):
 
 def _vjp_matmul(E, g, inputs, out, i):
     a, b = inputs
-    return E.matmul(g, E.transpose(b)) if i == 0 else E.matmul(E.transpose(a), g)
+    return E.matmul(g, E.op("transpose", b)) if i == 0 else E.matmul(E.op("transpose", a), g)
 
 
 def _fw_affine(attrs, x, w, b):
@@ -306,9 +296,9 @@ def _fw_affine(attrs, x, w, b):
 def _vjp_affine(E, g, inputs, out, i):
     x, w, _ = inputs
     if i == 0:
-        return E.matmul(g, E.transpose(w))
+        return E.matmul(g, E.op("transpose", w))
     if i == 1:
-        return E.matmul(E.transpose(x), g)
+        return E.matmul(E.op("transpose", x), g)
     return E.sum(g, axis=0)
 
 
@@ -380,7 +370,7 @@ def _bcast_reduced(E, g, attrs, in_shape):
         kd = list(in_shape)
         for ax in axes:
             kd[ax] = 1
-        g = E.reshape(g, kd)
+        g = E.op("reshape", g, shape=tuple(kd))
     return E.mul(g, ones)
 
 
@@ -389,7 +379,10 @@ def _vjp_sum(E, g, inputs, out, i):
 
 
 def _fw_mean(attrs, x):
-    return np.mean(x, axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
+    # np.mean's arithmetic (a sum, then one division by the count) without
+    # its Python overhead, which dominates on the batch-1 acting path
+    total = np.add.reduce(x, axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
+    return total / (x.size // np.size(total))
 
 
 def _vjp_mean(E, g, inputs, out, i):
@@ -411,7 +404,7 @@ def _vjp_concat(E, g, inputs, out, i):
     x = inputs[i]
     key = tuple(slice(None) if d != axis else slice(start, start + x.shape[axis])
                 for d in range(len(x.shape)))
-    return E.slice(g, key)
+    return E.op("slice", g, key=key)
 
 
 def _fw_clip(attrs, x):
@@ -425,7 +418,7 @@ def _vjp_clip(E, g, inputs, out, i):
 
 
 def _fw_l2norm(attrs, x):
-    return np.sqrt(np.sum(x * x, axis=attrs.get("axis")) + NORM_OFFSET)
+    return np.sqrt(np.add.reduce(x * x, axis=attrs.get("axis")) + NORM_OFFSET)
 
 
 def _vjp_l2norm(E, g, inputs, out, i):
@@ -435,7 +428,7 @@ def _vjp_l2norm(E, g, inputs, out, i):
         return E.mul(x, E.div(g, out))
     kd = list(x.shape)
     kd[axis] = 1
-    return E.mul(x, E.reshape(E.div(g, out), kd))
+    return E.mul(x, E.op("reshape", E.div(g, out), shape=tuple(kd)))
 
 
 def _fw_minimum(attrs, a, b):
@@ -453,7 +446,7 @@ def _fw_transpose(attrs, x):
 
 
 def _vjp_transpose(E, g, inputs, out, i):
-    return E.transpose(g)
+    return E.op("transpose", g)
 
 
 def _fw_reshape(attrs, x):
@@ -461,7 +454,7 @@ def _fw_reshape(attrs, x):
 
 
 def _vjp_reshape(E, g, inputs, out, i):
-    return E.reshape(g, inputs[0].shape)
+    return E.op("reshape", g, shape=inputs[0].shape)
 
 
 def _fw_slice(attrs, x):
@@ -469,7 +462,7 @@ def _fw_slice(attrs, x):
 
 
 def _vjp_slice(E, g, inputs, out, i):
-    return E.scatter_slice(g, inputs[0].shape, out.attrs["key"])
+    return E.op("scatter_slice", g, shape=inputs[0].shape, key=out.attrs["key"])
 
 
 def _fw_scatter_slice(attrs, x):
@@ -479,7 +472,7 @@ def _fw_scatter_slice(attrs, x):
 
 
 def _vjp_scatter_slice(E, g, inputs, out, i):
-    return E.slice(g, out.attrs["key"])
+    return E.op("slice", g, key=out.attrs["key"])
 
 
 def _fw_im2col(attrs, x):
@@ -487,8 +480,7 @@ def _fw_im2col(attrs, x):
 
 
 def _vjp_im2col(E, g, inputs, out, i):
-    a = out.attrs
-    return E.col2im(g, inputs[0].shape, a["kh"], a["kw"], a["stride"])
+    return E.op("col2im", g, x_shape=inputs[0].shape, **out.attrs)
 
 
 def _fw_col2im(attrs, x):
@@ -497,7 +489,7 @@ def _fw_col2im(attrs, x):
 
 def _vjp_col2im(E, g, inputs, out, i):
     a = out.attrs
-    return E.im2col(g, a["kh"], a["kw"], a["stride"])
+    return E.op("im2col", g, kh=a["kh"], kw=a["kw"], stride=a["stride"])
 
 
 _OPS = {
@@ -587,7 +579,7 @@ def _toposort(root, leaves):
 
 def _run_backward(root, leaves, create_graph):
     """Adjoints by node id, computing only the VJPs on a path to a leaf."""
-    E = _GraphExec() if create_graph else _EagerExec()
+    E = GRAPH if create_graph else EAGER
     order, live = _toposort(root, leaves)
     seed = np.ones(root.shape, dtype=root.dtype)
     adjoint = {id(root): _as_node(seed) if create_graph else seed}

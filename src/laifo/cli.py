@@ -36,10 +36,13 @@ def load_config(path=None, overrides=None):
                 raise ValueError(f"config key {key!r} in {where} expects one of "
                                  f"{'/'.join(_BOOLEANS)}, got {raw!r}")
             values[key] = _BOOLEANS[word]
-        elif kind is int:
-            values[key] = int(raw)
         else:
-            values[key] = float(raw)
+            try:
+                values[key] = kind(raw)
+            except ValueError:
+                raise ValueError(f"config key {key!r} in {where} expects "
+                                 f"{'an integer' if kind is int else 'a number'}, "
+                                 f"got {raw!r}") from None
 
     if path:
         with open(path) as f:
@@ -228,8 +231,13 @@ def read_run_dir(run_dir):
     meta_path = os.path.join(run_dir, "meta.json")
     with open(meta_path) as f:
         meta = json.load(f)
+    if "algo" not in meta:
+        raise ValueError(f"{run_dir}: not an imitation run (meta.json names no algo)")
     if "expert_score" not in meta:
         raise ValueError(f"{run_dir}: no expert score recorded")
+    if float(meta["expert_score"]) == 0.0:
+        raise ValueError(f"{run_dir}: the expert score is 0, so returns cannot "
+                         f"be normalized by it")
     rows = []
     with open(os.path.join(run_dir, "metrics.csv")) as f:
         for row in csv.DictReader(f):

@@ -176,13 +176,14 @@ class Adam:
 
 @dataclass
 class AgentBundle:
-    """Encoder (None for fully observable learners), actor, twin critics,
-    discriminator (None for behavioral cloning), and their optimizers; the
-    critic optimizer also steps the encoder."""
+    """Encoder (the parameterless `nets.FlattenEncoder` for fully observable
+    learners), actor, twin critics, discriminator (None for behavioral
+    cloning), and their optimizers; the critic optimizer also steps the
+    encoder."""
 
     actor: nets.Actor
     critics: nets.TwinCritics
-    enc: object = None
+    enc: object
     disc: nets.Discriminator = None
     actor_opt: Adam = None
     critic_opt: Adam = None
@@ -190,14 +191,10 @@ class AgentBundle:
 
     def latent(self, windows):
         """Stop-gradient latents for a batch of windows."""
-        if self.enc is None:
-            return _squeeze_windows(windows)
         return self.enc.values(windows)
 
     def named_params(self):
-        parts = [self.actor, self.critics]
-        if self.enc is not None:
-            parts.append(self.enc)
+        parts = [self.actor, self.critics, self.enc]
         if self.disc is not None:
             parts.append(self.disc)
         return nets.named_params(*parts)
@@ -206,25 +203,19 @@ class AgentBundle:
         nets.save_checkpoint(path, self.named_params())
 
 
-def _squeeze_windows(windows):
-    windows = np.asarray(windows)
-    return windows.reshape(windows.shape[0], -1)
-
-
-def build_bundle(cfg, obs_shape, act_dim, pairing, rng, encoder=True,
+def build_bundle(cfg, obs_shape, act_dim, pairing, rng, full_state=False,
                  with_disc=True):
-    """Networks and optimizers; 2-D (pixel) observations get a conv encoder."""
+    """Networks and optimizers. The encoder flattens the state for
+    `full_state` learners, and is convolutional on 2-D (pixel) observations."""
     dtype = cfg.dtype
-    if encoder:
-        if len(obs_shape) == 2:
-            enc = nets.PixelEncoder(rng, obs_shape[0], cfg.d, cfg.z_dim, dtype=dtype)
-        else:
-            enc = nets.VectorEncoder(rng, obs_shape[0], cfg.d, cfg.z_dim,
-                                     hidden=cfg.hidden, dtype=dtype)
-        z_dim = cfg.z_dim
+    if full_state:
+        enc = nets.FlattenEncoder(obs_shape)
+    elif len(obs_shape) == 2:
+        enc = nets.PixelEncoder(rng, obs_shape[0], cfg.d, cfg.z_dim, dtype=dtype)
     else:
-        enc = None
-        z_dim = int(np.prod(obs_shape))
+        enc = nets.VectorEncoder(rng, obs_shape[0], cfg.d, cfg.z_dim,
+                                 hidden=cfg.hidden, dtype=dtype)
+    z_dim = enc.z_dim
     actor = nets.Actor(rng, z_dim, act_dim, hidden=cfg.hidden, dtype=dtype)
     critics = nets.TwinCritics(rng, z_dim, act_dim, hidden=cfg.hidden, dtype=dtype)
     disc = None
@@ -235,8 +226,7 @@ def build_bundle(cfg, obs_shape, act_dim, pairing, rng, encoder=True,
     return AgentBundle(
         actor=actor, critics=critics, enc=enc, disc=disc,
         actor_opt=Adam(actor.params(), cfg.lr),
-        critic_opt=Adam(critics.params() + (enc.params() if enc is not None else []),
-                        cfg.lr),
+        critic_opt=Adam(critics.params() + enc.params(), cfg.lr),
         disc_opt=Adam(disc.params(), cfg.disc_lr) if disc is not None else None,
     )
 
@@ -288,19 +278,13 @@ def update_discriminator(bundle, expert_pairs, agent_pairs, cfg, rng):
 
 
 def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
-    """Regress both critics (and the encoder, when present) onto the
-    bootstrapped target; the target itself carries no gradient."""
-    if bundle.enc is not None:
-        win = augment.random_shift_batch(batch.windows, cfg.pad, rng)
-        nxt = augment.random_shift_batch(batch.next_windows, cfg.pad, rng)
-        z_node = bundle.enc.forward(win)
-        z = z_node.values
-        z_next = bundle.enc.values(nxt)
-    else:
-        z = _squeeze_windows(batch.windows)
-        z_node = tensor(z)
-        z_next = _squeeze_windows(batch.next_windows)
-
+    """Regress both critics and the encoder onto the bootstrapped target;
+    the target itself carries no gradient."""
+    win = augment.random_shift_batch(batch.windows, cfg.pad, rng)
+    nxt = augment.random_shift_batch(batch.next_windows, cfg.pad, rng)
+    z_node = bundle.enc.forward(win)
+    z = z_node.values
+    z_next = bundle.enc.values(nxt)
     actions = batch.actions.astype(z.dtype)
     if bundle.disc is not None:
         right = actions if bundle.disc.pairing == "action" else z_next
@@ -324,11 +308,7 @@ def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
 def update_actor(bundle, windows, cfg, sigma, rng):
     """Ascend min_k Q(z, pi(z) + clipped noise) in the actor parameters
     only; encoder and critics read but do not move."""
-    if bundle.enc is not None:
-        win = augment.random_shift_batch(windows, cfg.pad, rng)
-        z = bundle.enc.values(win)
-    else:
-        z = _squeeze_windows(windows)
+    z = bundle.enc.values(augment.random_shift_batch(windows, cfg.pad, rng))
     pi = bundle.actor.forward(tensor(z))
     eps = rng.normal(0.0, sigma, size=pi.shape)
     if sigma > 0:
@@ -427,6 +407,10 @@ def _check_capabilities(algo, env, expert_data):
                 f"expert dataset observations {tuple(expert_data.obs_shape)} do not "
                 f"match the environment's {tuple(want)} (fully observable learners "
                 f"need state-recorded datasets)")
+        if tuple(expert_data.act_shape) != (env.act_dim,):
+            raise CapabilityError(
+                f"expert dataset actions {tuple(expert_data.act_shape)} do not "
+                f"match the environment's {(env.act_dim,)}")
     return env
 
 
@@ -453,7 +437,7 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
 
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, pairing, rng,
-                          encoder=not fully_obs, with_disc=expert_data is not None)
+                          full_state=fully_obs, with_disc=expert_data is not None)
     buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
     sampler = ExpertWindowSampler(expert_data, d) if expert_data is not None else None
     use_env_reward = algo in _ENV_REWARD_ALGOS

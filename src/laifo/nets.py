@@ -1,20 +1,22 @@
-"""The four parameterized functions of the imitation game: feature
-extractor, actor, twin critics with slow targets, and discriminator.
+"""The parameterized functions of the imitation game: feature extractors,
+actor, twin critics with slow targets, and discriminator.
 
-Every network offers two forward paths: `forward` builds autodiff graph
-nodes (for training), `values` is a plain-numpy fast path (for acting,
-targets and anything under a stop-gradient).
+Each network writes its forward pass once, as `run(E, ...)` on an
+autodiff executor: `autodiff.GRAPH` builds differentiable nodes (for
+training), `autodiff.EAGER` computes plain arrays (for acting, targets
+and anything behind a stop-gradient). `forward` and `values` are those
+two runs, and their numbers are bit-identical.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import TensorNode, apply, sigmoid_values, tensor
+from .autodiff import EAGER, GRAPH, sigmoid_values, tensor
 from .replay import _read_exact, _require
 
 CKPT_MAGIC = b"LAIFO-CKPT1"
@@ -46,58 +48,50 @@ class Mlp:
             self.weights.append(tensor(w, name=f"{name}.l{i}.W"))
             self.biases.append(tensor(b, name=f"{name}.l{i}.b"))
 
-    def _act_node(self, h):
-        return apply(self.activation, [h])
-
-    def _act_values(self, h):
-        if self.activation == "relu":
-            return np.maximum(h, 0.0)
-        return np.tanh(h)
+    def run(self, E, x):
+        act = getattr(E, self.activation)
+        ws, bs = self.weights, self.biases
+        for i in range(len(ws) - 1):
+            x = act(E.affine(x, ws[i], bs[i]))
+        return E.affine(x, ws[-1], bs[-1])
 
     def forward(self, x):
-        h = x if isinstance(x, TensorNode) else tensor(x)
-        n = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = apply("affine", [h, w, b])
-            if i < n - 1:
-                h = self._act_node(h)
-        return h
+        return self.run(GRAPH, x)
 
-    def values(self, x, params=None):
-        """Plain-numpy forward pass. `params` (weight arrays then bias
-        arrays, as `params()` orders them) stands in for the live values,
-        e.g. for target copies."""
-        h = np.asarray(x)
-        n = len(self.weights)
-        for i in range(n):
-            if params is None:  # no list is built on the acting path
-                w, b = self.weights[i].values, self.biases[i].values
-            else:
-                w, b = params[i], params[n + i]
-            h = h @ w + b
-            if i < n - 1:
-                h = self._act_values(h)
-        return h
+    def values(self, x):
+        return self.run(EAGER, x)
 
     def params(self):
         return self.weights + self.biases
 
 
-def _normalize_node(h, z_dim):
+def _normalize(E, h, z_dim):
     # feature standardization then tanh: keeps the latent cloud at unit
     # scale so a norm-1 gradient penalty does not flatten the discriminator
     b = h.shape[0]
-    mu = apply("reshape", [apply("mean", [h], axis=1)], shape=(b, 1))
-    c = h - mu
-    rms = apply("reshape", [apply("l2norm", [c], axis=1)],
-                shape=(b, 1)) * (1.0 / np.sqrt(z_dim))
-    return apply("tanh", [apply("div", [c, rms])])
+    c = E.add(h, E.neg(E.op("reshape", E.op("mean", h, axis=1), shape=(b, 1))))
+    # a Python float, so float32 arrays stay float32 on the eager path
+    rms = E.mul(E.op("reshape", E.op("l2norm", c, axis=1), shape=(b, 1)),
+                float(1.0 / np.sqrt(z_dim)))
+    return E.tanh(E.div(c, rms))
 
 
-def _normalize_values(h):
-    c = h - h.mean(axis=1, keepdims=True)
-    rms = np.sqrt(np.sum(c * c, axis=1, keepdims=True) / h.shape[1] + 1e-12 / h.shape[1])
-    return np.tanh(c / rms)
+class FlattenEncoder:
+    """The encoder of the fully observable learners, which see windows of
+    one frame: the flattened state is the latent. It has no parameters."""
+
+    def __init__(self, obs_shape):
+        self.z_dim = int(np.prod(obs_shape))
+
+    def values(self, window):
+        window = np.asarray(window)
+        return window.reshape(window.shape[0], -1)
+
+    def forward(self, window):
+        return tensor(self.values(window))
+
+    def params(self):
+        return []
 
 
 class VectorEncoder:
@@ -134,12 +128,14 @@ class VectorEncoder:
         diffs = (arr[:, 1:] - arr[:, :-1]) * self.DIFF_SCALE
         return np.concatenate([arr.reshape(b, -1), diffs.reshape(b, -1)], axis=1)
 
+    def run(self, E, x):
+        return _normalize(E, self.mlp.run(E, x), self.z_dim)
+
     def forward(self, window):
-        return _normalize_node(self.mlp.forward(tensor(self._flatten(window))),
-                               self.z_dim)
+        return self.run(GRAPH, self._flatten(window))
 
     def values(self, window):
-        return _normalize_values(self.mlp.values(self._flatten(window)))
+        return self.run(EAGER, self._flatten(window))
 
     def params(self):
         return self.mlp.params()
@@ -184,32 +180,22 @@ class PixelEncoder:
         # stacked frames become input channels, laid out channels-last
         return np.ascontiguousarray(arr.transpose(0, 2, 3, 1))
 
-    def forward(self, window):
-        x = self._check(window)
+    def run(self, E, x):
         b = x.shape[0]
         side = self.image_size
-        h = tensor(x)
         for w, bias in zip(self.conv_w, self.conv_b):
-            cols = apply("im2col", [h], kh=self.KH, kw=self.KW, stride=self.STRIDE)
-            out = apply("relu", [apply("affine", [cols, w, bias])])
+            cols = E.op("im2col", x, kh=self.KH, kw=self.KW, stride=self.STRIDE)
             side = (side - self.KH) // self.STRIDE + 1
-            h = apply("reshape", [out], shape=(b, side, side, w.shape[1]))
-        flat = apply("reshape", [h], shape=(b, h.size // b))
-        head = apply("affine", [flat, self.head_w, self.head_b])
-        return _normalize_node(head, self.z_dim)
+            x = E.op("reshape", E.relu(E.affine(cols, w, bias)),
+                     shape=(b, side, side, w.shape[1]))
+        head = E.affine(E.op("reshape", x, shape=(b, x.size // b)), self.head_w, self.head_b)
+        return _normalize(E, head, self.z_dim)
+
+    def forward(self, window):
+        return self.run(GRAPH, self._check(window))
 
     def values(self, window):
-        x = self._check(window)
-        b = x.shape[0]
-        side = self.image_size
-        h = x
-        for w, bias in zip(self.conv_w, self.conv_b):
-            cols = ad._im2col_values(h, self.KH, self.KW, self.STRIDE)
-            out = np.maximum(cols @ w.values + bias.values, 0.0)
-            side = (side - self.KH) // self.STRIDE + 1
-            h = out.reshape(b, side, side, w.shape[1])
-        return _normalize_values(
-            h.reshape(b, -1) @ self.head_w.values + self.head_b.values)
+        return self.run(EAGER, self._check(window))
 
     def params(self):
         return self.conv_w + self.conv_b + [self.head_w, self.head_b]
@@ -224,11 +210,14 @@ class Actor:
         self.mlp = Mlp(rng, [z_dim, hidden, hidden, act_dim], activation="relu",
                        zero_last=True, name="actor", dtype=dtype)
 
+    def run(self, E, z):
+        return E.tanh(self.mlp.run(E, z))
+
     def forward(self, z):
-        return apply("tanh", [self.mlp.forward(z)])
+        return self.run(GRAPH, z)
 
     def values(self, z):
-        return np.tanh(self.mlp.values(z))
+        return self.run(EAGER, z)
 
     def params(self):
         return self.mlp.params()
@@ -252,34 +241,35 @@ def act(actor, z, sigma, clip_c, rng):
 
 
 class TwinCritics:
-    """Two Q heads over (latent, action) plus slow-moving target copies."""
+    """Two Q heads over (latent, action) plus slow-moving target copies,
+    which run through the same body."""
 
     def __init__(self, rng, z_dim, act_dim, hidden=256, dtype=np.float64):
         sizes = [z_dim + act_dim, hidden, hidden, 1]
         self.q1 = Mlp(rng, sizes, zero_last=True, name="q1", dtype=dtype)
         self.q2 = Mlp(rng, sizes, zero_last=True, name="q2", dtype=dtype)
-        self.t1 = [p.values.copy() for p in self.q1.params()]
-        self.t2 = [p.values.copy() for p in self.q2.params()]
+        self.t1 = copy.deepcopy(self.q1)
+        self.t2 = copy.deepcopy(self.q2)
+
+    def run(self, E, z, a, target=False):
+        x = E.op("concat", z, a, axis=1)
+        q1, q2 = (self.t1, self.t2) if target else (self.q1, self.q2)
+        return q1.run(E, x), q2.run(E, x)
 
     def forward(self, z, a):
-        z = z if isinstance(z, TensorNode) else tensor(np.atleast_2d(z))
-        a = a if isinstance(a, TensorNode) else tensor(np.atleast_2d(a))
-        x = apply("concat", [z, a], axis=1)
-        return self.q1.forward(x), self.q2.forward(x)
+        return self.run(GRAPH, z, a)
 
     def values(self, z, a, use_target=False):
-        x = np.concatenate([np.atleast_2d(z), np.atleast_2d(a)], axis=1)
-        if not use_target:
-            return self.q1.values(x)[:, 0], self.q2.values(x)[:, 0]
-        return self.q1.values(x, self.t1)[:, 0], self.q2.values(x, self.t2)[:, 0]
+        q1, q2 = self.run(EAGER, np.atleast_2d(z), np.atleast_2d(a), use_target)
+        return q1[:, 0], q2[:, 0]
 
     def soft_update(self, tau):
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {tau}")
         for tgt, net in ((self.t1, self.q1), (self.t2, self.q2)):
-            for t, p in zip(tgt, net.params()):
-                t *= 1.0 - tau
-                t += tau * p.values
+            for t, p in zip(tgt.params(), net.params()):
+                t.values *= 1.0 - tau
+                t.values += tau * p.values
 
     def params(self):
         return self.q1.params() + self.q2.params()
@@ -310,8 +300,7 @@ class Discriminator:
     def score(self, pairs):
         """Pre-sigmoid logit node for already-concatenated (left, right)
         rows; this is the function the gradient penalty differentiates."""
-        x = pairs if isinstance(pairs, TensorNode) else tensor(pairs)
-        return self.mlp.forward(x)
+        return self.mlp.forward(pairs)
 
     def score_values(self, left, right):
         x = np.concatenate([np.atleast_2d(left), self._check_right(right)], axis=1)

@@ -183,8 +183,9 @@ class ExpertDataset:
             n = len(ep.observations)
             if ep.observations.shape[1:] != tuple(self.obs_shape):
                 raise ValueError(f"episode {k}: observation shape mismatch")
-            if ep.actions is not None and len(ep.actions) != n - 1:
-                raise ValueError(f"episode {k}: expected {n - 1} actions")
+            if ep.actions is not None and ep.actions.shape != (n - 1, *self.act_shape):
+                raise ValueError(f"episode {k}: expected actions of shape "
+                                 f"{(n - 1, *self.act_shape)}, got {ep.actions.shape}")
             if ep.rewards is not None and len(ep.rewards) != n - 1:
                 raise ValueError(f"episode {k}: expected {n - 1} rewards")
 
@@ -282,20 +283,27 @@ class ExpertWindowSampler:
             raise ValueError("empty expert dataset")
         if any(len(ep) < 2 for ep in dataset.episodes):
             raise ValueError("every expert episode needs at least 2 observations")
+        dataset.validate()
         self.dataset = dataset
         self.d = d
-        self._ring = ReplayBuffer(sum(len(ep) for ep in dataset.episodes),
-                                  dataset.obs_shape, dataset.act_shape)
-        no_action = np.zeros(self._ring.act_shape, dtype=np.float32)
-        for ep in dataset.episodes:
-            self._ring.push(ep.observations[0], None)
-            for t in range(1, len(ep)):
-                self._ring.push(
-                    ep.observations[t],
-                    no_action if ep.actions is None else ep.actions[t - 1],
-                    0.0 if ep.rewards is None else ep.rewards[t - 1],
-                    done=t == len(ep) - 1)
-        self._sources = self._ring._transition_sources()
+        # the ring as pushing every frame in order leaves it: an episode's
+        # first frame carries zero action and reward, the ring is full (its
+        # next write wraps to slot 0) and the last frame ended an episode
+        ring = ReplayBuffer(sum(len(ep) for ep in dataset.episodes),
+                            dataset.obs_shape, dataset.act_shape)
+        start = 0
+        for k, ep in enumerate(dataset.episodes):
+            end = start + len(ep)
+            ring._obs[start:end] = ep.observations
+            if ep.actions is not None:
+                ring._act[start + 1:end] = ep.actions
+            if ep.rewards is not None:
+                ring._rew[start + 1:end] = ep.rewards
+            ring._episode[start:end] = k
+            start = end
+        ring._idx, ring.size, ring._ep_counter = 0, ring.capacity, dataset.count - 1
+        self._ring = ring
+        self._sources = ring._transition_sources()
 
     def sample(self, batch, rng, with_actions=False):
         """A StackedBatch of uniformly drawn transitions; its actions are

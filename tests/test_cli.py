@@ -50,6 +50,22 @@ def test_load_config_booleans_are_strict(tmp_path):
         load_config(f)
 
 
+def test_load_config_numbers_name_the_key(tmp_path, capsys):
+    with pytest.raises(ValueError, match="'batch' in command line expects an integer, got 'abc'"):
+        load_config(None, {"batch": "abc"})
+    f = tmp_path / "sci.cfg"
+    f.write_text("seed=1\nframes=1e3\n")
+    with pytest.raises(ValueError, match=f"'frames' in {f}:2 expects an integer"):
+        load_config(f)
+    with pytest.raises(ValueError, match="'lr' in command line expects a number"):
+        load_config(None, {"lr": "fast"})
+    code = run(["train-expert", "--env", "pointmass-v", "--out-dir",
+                str(tmp_path / "x"), "--set", "batch=abc"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: config key 'batch' in command line expects an integer, got 'abc'\n"
+
+
 def test_cli_misspelt_boolean_exits_1(tmp_path, capsys):
     code = run(["train-expert", "--env", "pointmass-v", "--out-dir",
                 str(tmp_path / "x"), "--frames", "1", "--set", "float32=ture"])
@@ -162,6 +178,21 @@ def test_cli_tabular_env_exits_2(tmp_path, capsys):
         assert "tabular:mdp-s4-a2" in capsys.readouterr().err
 
 
+def test_cli_dataset_action_shape_mismatch_exits_2(tmp_path, capsys):
+    from laifo.replay import Episode, ExpertDataset, save_dataset
+    data_path = tmp_path / "wide.laifo"
+    save_dataset(ExpertDataset("pointmass-v", (2,), (3,), [
+        Episode(np.zeros((3, 2), dtype=np.float32), np.zeros((2, 3), dtype=np.float32),
+                np.zeros(2, dtype=np.float32))]), data_path)
+    code = run(["imitate", "--algo", "lail", "--env", "pointmass-v",
+                "--expert-data", str(data_path), "--out-dir", str(tmp_path / "x"),
+                "--frames", "50"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "actions (3,)" in err and "(2,)" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_sparse_pendulum_exits_1(tmp_path, capsys):
     code = run(["train-expert", "--env", "pendulum-po", "--reward-mode", "sparse",
                 "--out-dir", str(tmp_path / "x"), "--frames", "1"])
@@ -199,6 +230,33 @@ def test_report_requires_expert_score(tmp_path):
     (run_dir / "metrics.csv").write_text("frame,episode,eval_return\n1,0,5.0\n")
     with pytest.raises(ValueError, match="expert score"):
         aggregate_runs([str(run_dir)])
+
+
+def _report_run(run_dir, meta):
+    os.makedirs(run_dir)
+    (run_dir / "meta.json").write_text(json.dumps(meta))
+    (run_dir / "metrics.csv").write_text("frame,episode,eval_return\n1,0,5.0\n")
+
+
+def test_cli_report_expert_run_dir_exits_1(tmp_path, capsys):
+    # train-expert writes no algo into its meta.json
+    run_dir = tmp_path / "expert"
+    _report_run(run_dir, {"kind": "expert", "env": "pointmass-v", "seed": 0,
+                          "expert_score": 50.0})
+    code = run(["report", "--run-dirs", str(run_dir), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: {run_dir}: not an imitation run (meta.json names no algo)\n"
+
+
+def test_cli_report_zero_expert_score_exits_1(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    _report_run(run_dir, {"algo": "laifo", "env": "pointmass-v", "seed": 0,
+                          "expert_score": 0.0})
+    code = run(["report", "--run-dirs", str(run_dir), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir}: the expert score is 0")
 
 
 def test_report_normalization_and_na(tmp_path):

@@ -21,7 +21,7 @@ def small_cfg(**kw):
 
 def _bundle(cfg, pairing="transition", encoder=True, obs=(2,), act=2, seed=0):
     return build_bundle(cfg, obs, act, pairing, np.random.default_rng(seed),
-                        encoder=encoder)
+                        full_state=not encoder)
 
 
 def _cloud_pairs(rng, n, center, dim=6):
@@ -299,7 +299,8 @@ def test_update_actor_converges_to_quadratic_optimum():
         def params(self):
             return []
 
-    bundle = AgentBundle(actor=actor, critics=QuadraticCritics(), enc=None,
+    bundle = AgentBundle(actor=actor, critics=QuadraticCritics(),
+                         enc=nets.FlattenEncoder((2,)),
                          actor_opt=Adam(actor.params(), cfg.lr))
     windows = rng.standard_normal((8, 1, 2)).astype(np.float32)
     for _ in range(500):
@@ -391,6 +392,19 @@ def test_capability_gating():
     # fully observable learner fed an observation-recorded dataset
     with pytest.raises(CapabilityError, match="state"):
         train("dac", env, ds, cfg)
+
+
+def test_capability_rejects_dataset_action_shape():
+    # refused before any environment step, naming both shapes
+    env = make_env("pointmass-v")
+    ds = _linear_expert_dataset(np.random.default_rng(29))
+    wide = ExpertDataset("pointmass-v", (2,), (3,),
+                         [Episode(e.observations, np.zeros((len(e) - 1, 3), np.float32),
+                                  e.rewards) for e in ds.episodes])
+    for algo in ("lail", "laifo"):
+        with pytest.raises(CapabilityError, match=r"actions \(3,\).*\(2,\)"):
+            train(algo, env, wide, small_cfg())
+    assert env._t == 0
 
 
 def test_train_deterministic_reports():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laifo import nets
-from laifo.autodiff import apply, backward, finite_diff_check, tensor
+from laifo.autodiff import GRAPH, apply, backward, finite_diff_check, tensor
 from laifo.nets import (CKPT_MAGIC, Actor, Discriminator, PixelEncoder,
                         TwinCritics, VectorEncoder, act, discriminate,
                         load_checkpoint, save_checkpoint)
@@ -106,18 +106,18 @@ def test_soft_update_exact_affine():
     crit = TwinCritics(make_rng(18), z_dim=3, act_dim=1, hidden=8)
     for p in crit.q1.params():
         p.values[...] = 1.0
-    for t in crit.t1:
-        t[...] = 0.0
+    for t in crit.t1.params():
+        t.values[...] = 0.0
     crit.soft_update(0.01)
-    for t in crit.t1:
-        assert np.allclose(t, 0.01, atol=0, rtol=0)
+    for t in crit.t1.params():
+        assert np.allclose(t.values, 0.01, atol=0, rtol=0)
     crit.soft_update(1.0)
-    for t, p in zip(crit.t1, crit.q1.params()):
-        assert np.array_equal(t, p.values)
-    before = [t.copy() for t in crit.t2]
+    for t, p in zip(crit.t1.params(), crit.q1.params()):
+        assert np.array_equal(t.values, p.values)
+    before = [t.values.copy() for t in crit.t2.params()]
     crit.soft_update(0.0)
-    for t, b in zip(crit.t2, before):
-        assert np.array_equal(t, b)
+    for t, b in zip(crit.t2.params(), before):
+        assert np.array_equal(t.values, b)
     with pytest.raises(ValueError, match="tau"):
         crit.soft_update(1.5)
 
@@ -177,17 +177,54 @@ def test_network_gradients_match_finite_differences():
     assert finite_diff_check(actor_loss, actor.params(), eps=1e-5) < 1e-4
 
 
-def test_pixel_encoder_forward_matches_values_and_differentiates():
+def _forward_case(name, dtype):
+    """(parameters, graph pass, eager pass as a 2-D array) of one network,
+    with every parameter non-zero."""
     rng = make_rng(24)
-    enc = PixelEncoder(rng, image_size=12, d=2, z_dim=3, channels=(3, 4))
-    win = rng.uniform(0, 1, (2, 2, 12, 12))
-    node = enc.forward(win)
-    assert np.allclose(node.values, enc.values(win))
+    z = rng.standard_normal((5, 4)).astype(dtype)
+    a = rng.uniform(-1, 1, (5, 2)).astype(dtype)
+    if name == "VectorEncoder":
+        net = VectorEncoder(rng, obs_dim=2, d=3, z_dim=3, hidden=8, dtype=dtype)
+        win = rng.standard_normal((5, 3, 2)).astype(dtype)
+        return net.params(), lambda: net.forward(win), lambda: net.values(win)
+    if name == "PixelEncoder":
+        net = PixelEncoder(rng, image_size=12, d=2, z_dim=3, channels=(3, 4), dtype=dtype)
+        win = rng.uniform(0, 1, (2, 2, 12, 12)).astype(dtype)
+        return net.params(), lambda: net.forward(win), lambda: net.values(win)
+    if name == "Actor":
+        net = Actor(rng, z_dim=4, act_dim=2, hidden=8, dtype=dtype)
+        net.mlp.weights[-1].values[...] = rng.standard_normal((8, 2))
+        net.mlp.biases[-1].values[...] = rng.standard_normal(2)
+        return net.params(), lambda: net.forward(z), lambda: net.values(z)
+    if name.startswith("TwinCritics"):
+        net = TwinCritics(rng, z_dim=4, act_dim=2, hidden=8, dtype=dtype)
+        for p in net.params():
+            p.values[...] = rng.standard_normal(p.shape)
+        net.soft_update(0.5)  # targets differ from the live heads
+        target = name.endswith("target")
+        params = (net.t1.params() + net.t2.params()) if target else net.params()
+        return (params,
+                lambda: apply("concat", list(net.run(GRAPH, z, a, target)), axis=1),
+                lambda: np.stack(net.values(z, a, use_target=target), axis=1))
+    net = Discriminator(rng, z_dim=4, right_dim=2, pairing="action", hidden=8, dtype=dtype)
+    pairs = np.concatenate([z, a], axis=1)
+    return (net.params(), lambda: net.score(pairs),
+            lambda: net.score_values(z, a)[:, None])
 
-    def loss(_):
-        return apply("mean", [apply("square", [enc.forward(win)])])
 
-    assert finite_diff_check(loss, enc.params(), eps=1e-5) < 1e-4
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("name", ["VectorEncoder", "PixelEncoder", "Actor", "TwinCritics",
+                                  "TwinCritics-target", "Discriminator"])
+def test_forward_matches_values_and_differentiates(name, dtype):
+    params, forward, values = _forward_case(name, dtype)
+    node, out = forward(), values()
+    assert out.dtype == node.dtype == dtype
+    assert np.array_equal(node.values, out)
+    if dtype is np.float64:
+        def loss(_):
+            return apply("mean", [apply("square", [forward()])])
+
+        assert finite_diff_check(loss, params, eps=1e-5) < 1e-4
 
 
 def test_checkpoint_roundtrip(tmp_path):

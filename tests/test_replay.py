@@ -228,6 +228,30 @@ def _clamped_reference(dataset, d, batch, rng, with_actions):
     return windows(ts), acts, windows(ts + 1)
 
 
+@pytest.mark.parametrize("with_actions", [False, True])
+@pytest.mark.parametrize("with_rewards", [False, True])
+def test_expert_sampler_ring_equals_frame_by_frame_pushes(with_actions, with_rewards):
+    rng = np.random.default_rng(50)
+    eps = [Episode(rng.standard_normal((n, 3)).astype(np.float32),
+                   rng.standard_normal((n - 1, 2)).astype(np.float32) if with_actions else None,
+                   rng.standard_normal(n - 1).astype(np.float32) if with_rewards else None)
+           for n in (2, 5, 2, 9, 3, 2, 7)]
+    ring = ExpertWindowSampler(ExpertDataset("pointmass-v", (3,), (2,), eps), 2)._ring
+    ref = ReplayBuffer(sum(len(ep) for ep in eps), (3,), (2,))
+    for ep in eps:
+        ref.push(ep.observations[0], None)
+        for t in range(1, len(ep)):
+            ref.push(ep.observations[t],
+                     np.zeros(2) if ep.actions is None else ep.actions[t - 1],
+                     0.0 if ep.rewards is None else ep.rewards[t - 1],
+                     done=t == len(ep) - 1)
+    for name in ("_obs", "_act", "_rew", "_episode"):
+        got, want = getattr(ring, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for name in ("_idx", "size", "_ep_counter", "_prev_done"):
+        assert getattr(ring, name) == getattr(ref, name), name
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("obs_shape", [(3,), (6, 6)])
 def test_expert_sampler_matches_clamped_reference(d, obs_shape):
