@@ -133,9 +133,11 @@ def cmd_record(args):
             return actor.values(np.atleast_2d(state))[0]
 
     env = make_env(args.env, seed=args.seed, reward_mode=args.reward_mode)
+    if args.privileged:
+        env = FullyObservableWrapper(env)
     ds = expertgen.record(env, _Policy(), args.episodes,
                           with_actions=args.with_actions, seed=args.seed,
-                          use_privileged=args.privileged, env_id=args.env)
+                          env_id=args.env)
     replay.save_dataset(ds, args.out)
     print(f"recorded {ds.count} episodes (mean return {ds.mean_return():.3f}) "
           f"-> {args.out}")
@@ -205,6 +207,8 @@ def verify_instances(claim, n_instances, seed):
 
 
 def cmd_verify_theory(args):
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     claims = theory.CLAIMS if args.claim == "all" else (args.claim,)
     all_reports = []
     failed = 0

@@ -2,16 +2,17 @@
 
 The expert is the imitation learner's own off-policy actor-critic run by
 `imitate.train` in a private mode: full state, environment reward, no
-discriminator. `record` rolls a trained expert out on fresh copies of a
-`make_env` environment and packs observation-only (or
-observation-action) datasets.
+discriminator. `record` rolls a trained expert out on a fresh copy of a
+`make_env` environment (wrapped in `envs.FullyObservableWrapper` for
+state datasets) and packs observation-only (or observation-action)
+datasets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .envs import FullyObservableWrapper, clone
+from .envs import clone
 from .imitate import EXPERT, WindowPolicy, evaluate, train
 from .imitate import update_critic  # noqa: F401  re-exported; trainbench traces it here
 from .replay import Episode, ExpertDataset
@@ -43,27 +44,23 @@ def evaluate_expert(env, bundle, episodes, seed):
     return evaluate(env, WindowPolicy(bundle, 1), episodes, seed)
 
 
-def record(env, policy, n_episodes, with_actions=True, seed=0,
-           use_privileged=False, env_id=None):
+def record(env, policy, n_episodes, with_actions=True, seed=0, env_id=None):
     """Roll out the deterministic expert for n full episodes and pack them
-    into a dataset. Observations come from the environment unless
-    use_privileged is set (then the stored "observations" are states, for
-    the fully observable learners). Rewards are always stored."""
+    into a dataset of what `env` shows: observations, or the privileged
+    states when it is a `FullyObservableWrapper` (the datasets of the fully
+    observable learners). Rewards are always stored."""
     if n_episodes < 1:
         raise ValueError("need at least one episode")
-    base = env.env if isinstance(env, FullyObservableWrapper) else env
-    obs_shape = (base.state_dim,) if use_privileged else base.obs_shape
     episodes = []
-    e = clone(base)
+    e = clone(env)
     for k in range(n_episodes):
-        first = e.reset(seed=seed + k)
-        obs = [e.privileged_state() if use_privileged else first]
+        obs = [e.reset(seed=seed + k)]
         acts, rews = [], []
         done = False
         while not done:
             a = policy.action(e.privileged_state())
             frame, r, done = e.step(a)
-            obs.append(e.privileged_state() if use_privileged else frame)
+            obs.append(frame)
             acts.append(a)
             rews.append(r)
         episodes.append(Episode(
@@ -71,7 +68,6 @@ def record(env, policy, n_episodes, with_actions=True, seed=0,
             actions=np.asarray(acts, dtype=np.float32) if with_actions else None,
             rewards=np.asarray(rews, dtype=np.float32),
         ))
-    ds = ExpertDataset(env_id or base.env_id, obs_shape,
-                       (base.act_dim,), episodes)
+    ds = ExpertDataset(env_id or env.env_id, env.obs_shape, (env.act_dim,), episodes)
     ds.validate()
     return ds

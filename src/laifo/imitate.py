@@ -9,6 +9,7 @@ a stop-gradient.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -78,6 +79,10 @@ class Config:
             (self.sigma_start >= 0 and self.sigma_end >= 0, "sigma must be >= 0"),
             (self.pad >= 0, "pad must be >= 0"),
             (self.eval_episodes >= 1, "eval_episodes must be >= 1"),
+            (self.eval_interval >= 1, "eval_interval must be >= 1"),
+            (self.z_dim >= 1, "z_dim must be >= 1"),
+            (self.hidden >= 1, "hidden must be >= 1"),
+            (self.sigma_decay_frames >= 0, "sigma_decay_frames must be >= 0"),
         )
         for ok, msg in checks:
             if not ok:
@@ -123,29 +128,15 @@ class TrainReport:
             raise ValueError("empty report")
         return self.rows[-1].eval_return
 
-    def frames_to_return(self, threshold):
-        """First frame whose eval return reaches the threshold, or None."""
-        for row in self.rows:
-            if row.eval_return >= threshold:
-                return row.frame
-        return None
-
-    def to_csv(self, path_or_buf):
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            path_or_buf = open(path_or_buf, "w", newline="")
-            close = True
-        try:
-            w = csv.writer(path_or_buf)
+    def to_csv(self, path):
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
             w.writerow(METRICS_HEADER)
             for r in self.rows:
                 w.writerow([r.frame, r.episode, f"{r.eval_return:.10g}",
                             f"{r.disc_loss:.10g}", f"{r.critic_loss:.10g}",
                             f"{r.actor_loss:.10g}", f"{r.imit_reward_mean:.10g}",
                             f"{r.wall_clock_s:.3f}", r.seed])
-        finally:
-            if close:
-                path_or_buf.close()
 
 
 class Adam:
@@ -426,7 +417,10 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     """
     env = _check_capabilities(algo, env, expert_data)
     if algo == "bc":
-        return train_bc(env, expert_data, cfg)
+        report = train_bc(env, expert_data, cfg)
+        if out_dir is not None:
+            _write_run_dir(out_dir, report, cfg)
+        return report
 
     fully_obs = algo in _FULL_STATE_ALGOS
     expert = algo == EXPERT
@@ -500,7 +494,7 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
         report.rows.append(eval_row(0))
 
     if out_dir is not None:
-        _write_run_dir(out_dir, report, bundle, cfg)
+        _write_run_dir(out_dir, report, cfg)
     return report
 
 
@@ -552,11 +546,10 @@ def train_bc(env, expert_data, cfg):
     return report
 
 
-def _write_run_dir(out_dir, report, bundle, cfg):
-    import os
+def _write_run_dir(out_dir, report, cfg):
     os.makedirs(out_dir, exist_ok=True)
     report.to_csv(os.path.join(out_dir, "metrics.csv"))
-    bundle.save(os.path.join(out_dir, "final.ckpt"))
+    report.bundle.save(os.path.join(out_dir, "final.ckpt"))
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         for fld in fields(Config):
             f.write(f"{fld.name}={getattr(cfg, fld.name)}\n")

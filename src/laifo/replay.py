@@ -5,8 +5,9 @@ A pushed frame carries the action/reward of the transition *into* it;
 the first frame of an episode is pushed with action=None. Windows are
 front-padded by repeating the earliest frame of the episode, so the
 encoder always sees exactly d frames. There is one window-assembly path:
-the expert sampler pushes its dataset into a ring of exactly its size
-and gathers through the same code as the agent's buffer.
+the expert sampler fills a ring of exactly its dataset's size in bulk,
+leaving it as pushing every frame in order would, and gathers through
+the same code as the agent's buffer.
 """
 
 from __future__ import annotations
@@ -275,8 +276,8 @@ def load_dataset(path):
 
 class ExpertWindowSampler:
     """Uniform sampler of stacked transition windows from an immutable
-    expert dataset. The episodes are pushed into a ring of exactly their
-    frame count, so the windows are those of the agent's buffer."""
+    expert dataset. The episodes are copied in bulk into a ring of exactly
+    their frame count, so the windows are those of the agent's buffer."""
 
     def __init__(self, dataset, d):
         if dataset.count == 0:

@@ -4,12 +4,17 @@ of the suboptimality bounds.
 The pair (hidden state, observation window) is Markov, so normalized
 discounted occupancies come from one dense linear solve over the
 reachable pairs; every divergence, posterior, and bound side is then an
-exact finite sum. Monte-Carlo rollouts serve as an independent oracle.
+exact finite sum. The pair step is built once, by the search in
+`_reach`, as flat arrays of policy-free edges; the joint chain,
+rho(z,a,z') and P(z'|z,a) are weighted sums over those edges.
+Monte-Carlo rollouts serve as an independent oracle: they sample from T,
+U and their own window-shift table, not from the edge arrays, so a
+fault in the search cannot hide in both.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,65 +66,75 @@ def _check_sizes(pomdp, scheme):
         raise ValueError(f"|A| is capped at {MAX_ACTIONS}")
 
 
-def enumerate_reachable(pomdp, scheme):
-    """Reachable (state, window) pairs and the induced window alphabet,
-    exploring every action (a policy-independent superset)."""
+# The reachable (state, window) pairs, the hidden state and window index of
+# each pair, the initial pair distribution, and the policy-free step as flat
+# arrays: edge k leads from pair src[k] under action act[k] to pair dst[k]
+# with prob[k] = T(s'|s,a) U(x'|s').
+_Reach = namedtuple("_Reach", "pairs windows pair_index window_index "
+                              "state window init src act dst prob")
+
+
+def _reach(pomdp, scheme):
+    """Breadth-first search over (state, window) pairs from the initial
+    ones, exploring every action (a policy-independent superset)."""
     _check_sizes(pomdp, scheme)
-    t_supp = [[np.nonzero(pomdp.transition[s, a])[0]
-               for a in range(pomdp.n_actions)] for s in range(pomdp.n_states)]
-    u_supp = [np.nonzero(pomdp.observation[s])[0] for s in range(pomdp.n_states)]
+    t, u = pomdp.transition, pomdp.observation
+    t_supp = [[np.nonzero(t[s, a])[0] for a in range(pomdp.n_actions)]
+              for s in range(pomdp.n_states)]
+    u_supp = [np.nonzero(u[s])[0] for s in range(pomdp.n_states)]
     pairs = []
     pair_index = {}
-    queue = deque()
 
     def visit(pair):
         if pair not in pair_index:
             pair_index[pair] = len(pairs)
             pairs.append(pair)
-            queue.append(pair)
+        return pair_index[pair]
 
+    init = []  # distinct (s0, x0) give distinct pairs: these are pairs 0, 1, ...
     for s0 in np.nonzero(pomdp.rho0)[0]:
         for x0 in u_supp[s0]:
             visit((int(s0), scheme.initial(int(x0))))
-    while queue:
-        s, w = queue.popleft()
-        for a in range(pomdp.n_actions):
-            for s2 in t_supp[s][a]:
-                for x2 in u_supp[s2]:
-                    visit((int(s2), scheme.shift(w, int(x2))))
+            init.append(pomdp.rho0[s0] * u[s0, x0])
+    edges = []
+    for i, (s, w) in enumerate(pairs):  # pairs grows while walked: the queue
+        edges += [(i, a, visit((int(s2), scheme.shift(w, int(x2)))),
+                   t[s, a, s2] * u[s2, x2])
+                  for a in range(pomdp.n_actions)
+                  for s2 in t_supp[s][a] for x2 in u_supp[s2]]
     windows = sorted({w for _, w in pairs})
     window_index = {w: i for i, w in enumerate(windows)}
-    return pairs, windows, pair_index, window_index
+    state, window = np.array([(s, window_index[w]) for s, w in pairs]).T
+    src, act, dst, prob = (np.array(col) for col in zip(*edges))
+    return _Reach(pairs, windows, pair_index, window_index, state, window,
+                  np.pad(init, (0, len(pairs) - len(init))), src, act, dst, prob)
+
+
+def enumerate_reachable(pomdp, scheme):
+    """Reachable (state, window) pairs and the induced window alphabet,
+    exploring every action (a policy-independent superset)."""
+    return _reach(pomdp, scheme)[:4]
 
 
 def joint_chain(pomdp, scheme, policy):
     """Transition matrix over (state, window) pairs under a policy given
     as rows over the window alphabet (see `enumerate_reachable`)."""
-    pairs, windows, pair_index, window_index = enumerate_reachable(pomdp, scheme)
+    return _joint_chain(pomdp, _reach(pomdp, scheme), policy)
+
+
+def _joint_chain(pomdp, reach, policy):
     policy = np.asarray(policy, dtype=float)
-    if policy.shape != (len(windows), pomdp.n_actions):
+    if policy.shape != (len(reach.windows), pomdp.n_actions):
         raise ValueError(
-            f"policy must be ({len(windows)}, {pomdp.n_actions}), got {policy.shape}")
+            f"policy must be ({len(reach.windows)}, {pomdp.n_actions}), got {policy.shape}")
     if np.any(policy < 0) or np.any(np.abs(policy.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("policy rows must be distributions over actions")
-    n = len(pairs)
+    n = len(reach.pairs)
     p = np.zeros((n, n))
-    for i, (s, w) in enumerate(pairs):
-        pi = policy[window_index[w]]
-        for a in range(pomdp.n_actions):
-            if pi[a] == 0.0:
-                continue
-            for s2 in np.nonzero(pomdp.transition[s, a])[0]:
-                t_prob = pomdp.transition[s, a, s2]
-                for x2 in np.nonzero(pomdp.observation[s2])[0]:
-                    j = pair_index[(int(s2), scheme.shift(w, int(x2)))]
-                    p[i, j] += pi[a] * t_prob * pomdp.observation[s2, x2]
-    init = np.zeros(n)
-    for s0 in np.nonzero(pomdp.rho0)[0]:
-        for x0 in np.nonzero(pomdp.observation[s0])[0]:
-            i = pair_index[(int(s0), scheme.initial(int(x0)))]
-            init[i] += pomdp.rho0[s0] * pomdp.observation[s0, x0]
-    return JointChain(pairs, windows, pair_index, window_index, p, init)
+    np.add.at(p, (reach.src, reach.dst),
+              policy[reach.window[reach.src], reach.act] * reach.prob)
+    return JointChain(reach.pairs, reach.windows, reach.pair_index,
+                      reach.window_index, p, reach.init)
 
 
 @dataclass
@@ -154,20 +169,13 @@ class OccupancyTables:
             raise AssertionError("sum_{a,z'} rho(z,a,z') != d(z)")
 
 
-def _window_shift_table(pomdp, scheme, windows, window_index):
-    table = np.full((len(windows), pomdp.n_obs), -1, dtype=np.int64)
-    for i, w in enumerate(windows):
-        for x in range(pomdp.n_obs):
-            table[i, x] = window_index.get(scheme.shift(w, x), -1)
-    return table
-
-
 def occupancies(pomdp, scheme, policy, gamma=None):
     """Exact tables from the linear solve d = (1-g) init + g P^T d."""
     gamma = pomdp.gamma if gamma is None else gamma
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    chain = joint_chain(pomdp, scheme, policy)
+    reach = _reach(pomdp, scheme)
+    chain = _joint_chain(pomdp, reach, policy)
     n = len(chain.pairs)
     a_mat = np.eye(n) - gamma * chain.transition.T
     d = np.linalg.solve(a_mat, (1.0 - gamma) * chain.init)
@@ -176,27 +184,14 @@ def occupancies(pomdp, scheme, policy, gamma=None):
     n_z = len(chain.windows)
     policy = np.asarray(policy, dtype=float)
     d_joint = np.zeros((n_s, n_z))
-    for val, (s, w) in zip(d, chain.pairs):
-        d_joint[s, chain.window_index[w]] += val
+    d_joint[reach.state, reach.window] = d
     d_z = d_joint.sum(axis=0)
     rho_za = d_z[:, None] * policy
-    shift_to = _window_shift_table(pomdp, scheme, chain.windows, chain.window_index)
-
-    # rho(z, a, z') = sum_s d(s,z) pi(a|z) sum_{s'} T(s'|s,a) sum_{x'} U(x'|s') [z'=shift]
+    # rho(z, a, z') = sum over steps (s,z) -a-> (s',z') of d(s,z) pi(a|z) T(s'|s,a) U(x'|s')
+    z, z2 = reach.window[reach.src], reach.window[reach.dst]
     rho_zaz = np.zeros((n_z, n_a, n_z))
-    for zi in range(n_z):
-        col = d_joint[:, zi]
-        if col.sum() == 0.0:
-            continue
-        for a in range(n_a):
-            mass = policy[zi, a]
-            if mass == 0.0:
-                continue
-            obs_weight = (col @ pomdp.transition[:, a, :]) @ pomdp.observation
-            for x in np.nonzero(obs_weight)[0]:
-                zj = shift_to[zi, x]
-                assert zj >= 0, "positive-mass shift must be enumerated"
-                rho_zaz[zi, a, zj] += mass * obs_weight[x]
+    np.add.at(rho_zaz, (z, reach.act, z2),
+              policy[z, reach.act] * (d[reach.src] * reach.prob))
     rho_zz = rho_zaz.sum(axis=1)
 
     d_s = d_joint.sum(axis=1)
@@ -215,20 +210,13 @@ def latent_kernel(pomdp, scheme, ref_tables):
     Returns (kernel (Z, A, Z), reachable (Z,) mask); rows for windows the
     reference policy never visits are zero and flagged unreachable.
     """
-    windows = ref_tables.windows
-    n_z, n_a = len(windows), pomdp.n_actions
-    shift_to = _window_shift_table(pomdp, scheme, windows, ref_tables.window_index)
-    kernel = np.zeros((n_z, n_a, n_z))
-    reachable = ref_tables.d_z > 0
-    for zi in np.nonzero(reachable)[0]:
-        p_s = ref_tables.p_s_given_z[:, zi]
-        for a in range(n_a):
-            obs_weight = (p_s @ pomdp.transition[:, a, :]) @ pomdp.observation
-            for x in np.nonzero(obs_weight)[0]:
-                zj = shift_to[zi, x]
-                assert zj >= 0
-                kernel[zi, a, zj] += obs_weight[x]
-    return kernel, reachable
+    reach = _reach(pomdp, scheme)
+    n_z = len(reach.windows)
+    z, z2 = reach.window[reach.src], reach.window[reach.dst]
+    kernel = np.zeros((n_z, pomdp.n_actions, n_z))
+    np.add.at(kernel, (z, reach.act, z2),
+              ref_tables.p_s_given_z[reach.state[reach.src], z] * reach.prob)
+    return kernel, ref_tables.d_z > 0
 
 
 def action_posterior(pomdp, scheme, policy, tables=None):
@@ -459,8 +447,8 @@ class _Rollouts:
 
     def __init__(self, pomdp, scheme, policy):
         _, self.windows, _, self.window_index = enumerate_reachable(pomdp, scheme)
-        self.shift_to = _window_shift_table(pomdp, scheme, self.windows,
-                                            self.window_index)
+        self.shift_to = np.array([[self.window_index.get(scheme.shift(w, x), -1)
+                                   for x in range(pomdp.n_obs)] for w in self.windows])
         self.scheme = scheme
         self.cum_rho0 = np.cumsum(pomdp.rho0)[None, :]
         self.cum_u = np.cumsum(pomdp.observation, axis=1)

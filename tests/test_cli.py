@@ -148,6 +148,74 @@ def test_cli_end_to_end_tiny_run(tmp_path, capsys):
     assert len(agg) == 2
 
 
+def _tiny_dataset(path):
+    from laifo.replay import Episode, ExpertDataset, save_dataset
+    rng = np.random.default_rng(0)
+    save_dataset(ExpertDataset("pointmass-v", (2,), (2,), [
+        Episode(rng.uniform(-1, 1, (6, 2)).astype(np.float32),
+                rng.uniform(-1, 1, (5, 2)).astype(np.float32),
+                np.ones(5, dtype=np.float32))]), path)
+
+
+def test_cli_bc_writes_run_dir(tmp_path):
+    data_path = tmp_path / "E.laifo"
+    _tiny_dataset(data_path)
+    run_dir = tmp_path / "bc"
+    code = run(["imitate", "--algo", "bc", "--env", "pointmass-v",
+                "--expert-data", str(data_path), "--out-dir", str(run_dir),
+                "--set", "bc_steps=4", "--set", "eval_interval=2", "--batch", "4",
+                "--set", "hidden=8", "--set", "z_dim=4", "--set", "eval_episodes=1"])
+    assert code == 0
+    for name in ("metrics.csv", "final.ckpt", "config.txt", "meta.json"):
+        assert (run_dir / name).exists(), name
+    assert json.loads((run_dir / "meta.json").read_text())["algo"] == "bc"
+    assert len((run_dir / "metrics.csv").read_text().splitlines()) == 3
+
+
+def test_cli_record_privileged_stores_states(tmp_path):
+    exp_dir = tmp_path / "expert"
+    assert run(["train-expert", "--env", "pointmass-v", "--out-dir", str(exp_dir),
+                "--frames", "1", "--set", "batch=8", "--set", "hidden=8",
+                "--set", "z_dim=4", "--set", "eval_episodes=1"]) == 0
+    paths = {}
+    for flag in ("", "--privileged"):
+        paths[flag] = tmp_path / f"E{flag}.laifo"
+        assert run(["record", "--env", "pointmass-v", "--ckpt",
+                    str(exp_dir / "expert.ckpt"), "--episodes", "2",
+                    "--out", str(paths[flag])] + ([flag] if flag else [])) == 0
+    from laifo.replay import load_dataset
+    obs, states = (load_dataset(paths[k]) for k in ("", "--privileged"))
+    assert obs.obs_shape == (2,) and states.obs_shape == (4,)
+    for o, st in zip(obs.episodes, states.episodes):
+        # the observation is the position, the first half of the state
+        assert np.array_equal(o.observations, st.observations[:, :2])
+        assert np.array_equal(o.actions, st.actions)
+
+
+_BAD_SETTINGS = [("eval_interval=0", "eval_interval must be >= 1"),
+                 ("eval_interval=-3", "eval_interval must be >= 1"),
+                 ("z_dim=0", "z_dim must be >= 1"),
+                 ("hidden=0", "hidden must be >= 1"),
+                 ("sigma_decay_frames=-1", "sigma_decay_frames must be >= 0")]
+
+
+@pytest.mark.parametrize("setting, message", _BAD_SETTINGS,
+                         ids=[s for s, _ in _BAD_SETTINGS])
+def test_cli_bad_config_exits_1(tmp_path, capsys, setting, message):
+    code = run(["train-expert", "--env", "pointmass-v", "--out-dir",
+                str(tmp_path / "x"), "--frames", "1", "--set", setting])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_verify_theory_zero_instances_exits_1(tmp_path, capsys):
+    code = run(["verify-theory", "--instances", "0", "--out", str(tmp_path / "t.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --instances must be >= 1, got 0\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_cli_lail_without_actions_exits_2(tmp_path, capsys):
     exp_dir = tmp_path / "expert"
     run(["train-expert", "--env", "pointmass-v", "--out-dir", str(exp_dir),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laifo.envs import make_env
+from laifo.envs import FullyObservableWrapper, make_env
 from laifo.expertgen import StatePolicy, evaluate_expert, record, train_expert
 from laifo.imitate import Config
 from laifo.replay import load_dataset, save_dataset
@@ -71,8 +71,8 @@ def test_record_without_actions_gates_lail():
 def test_record_privileged_states():
     cfg = quick_cfg()
     rep = train_expert(make_env("pointmass-v"), 0, cfg)
-    ds = record(make_env("pointmass-v"), StatePolicy(rep.bundle), 2,
-                with_actions=True, seed=5, use_privileged=True,
+    ds = record(FullyObservableWrapper(make_env("pointmass-v")),
+                StatePolicy(rep.bundle), 2, with_actions=True, seed=5,
                 env_id="pointmass-v")
     assert ds.obs_shape == (4,)
     # positions in the state match what the observation would have been

@@ -3,7 +3,7 @@ import pytest
 
 from laifo import autodiff, imitate, nets
 from laifo.autodiff import apply, backward, finite_diff_check, tensor
-from laifo.envs import make_env
+from laifo.envs import FullyObservableWrapper, make_env
 from laifo.expertgen import record
 from laifo.imitate import (Adam, AgentBundle, CapabilityError, Config,
                            build_bundle, gradient_penalty, sigma_schedule, train, update_actor, update_critic,
@@ -37,6 +37,10 @@ def test_config_validation():
         Config(batch=0)
     with pytest.raises(ValueError, match="clip_c"):
         Config(clip_c=0.0)
+    for key, value in (("eval_interval", 0), ("eval_interval", -5), ("z_dim", 0),
+                       ("hidden", 0), ("sigma_decay_frames", -1)):
+        with pytest.raises(ValueError, match=key):
+            Config(**{key: value})
 
 
 def test_sigma_schedule_linear():
@@ -496,8 +500,8 @@ def test_float32_config_keeps_every_array_float32(algo, env_id, monkeypatch):
 
     monkeypatch.setattr(Adam, "step", recording_step)
     env = make_env(env_id)
-    data = record(env, _StandStill(env.act_dim), 1, seed=0,
-                  use_privileged=algo == "dac", env_id=env_id)
+    data = record(FullyObservableWrapper(env) if algo == "dac" else env,
+                  _StandStill(env.act_dim), 1, seed=0, env_id=env_id)
     cfg = Config(frames=14, warmup=10, batch=4, hidden=8, z_dim=4, d=2,
                  capacity=64, eval_interval=14, eval_episodes=1, float32=True)
     bundle = train(algo, env, data, cfg).bundle

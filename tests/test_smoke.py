@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from laifo.envs import ENV_IDS, make_env
+from laifo.envs import ENV_IDS, FullyObservableWrapper, make_env
 from laifo.expertgen import record, train_expert
 from laifo.imitate import ALGOS, Config, train
 
@@ -37,8 +37,9 @@ def datasets():
         key = (env_id, privileged)
         if key not in cache:
             env = make_env(env_id)
-            cache[key] = record(env, StandStill(env.act_dim), 1, seed=0,
-                                use_privileged=privileged, env_id=env_id)
+            shown = FullyObservableWrapper(env) if privileged else env
+            cache[key] = record(shown, StandStill(env.act_dim), 1, seed=0,
+                                env_id=env_id)
         return cache[key]
 
     return get

@@ -93,6 +93,19 @@ def test_rho_zz_matches_bruteforce_definition():
     assert np.max(np.abs(brute - tab.rho_zz)) < 1e-12
 
 
+def test_rho_zaz_factors_through_latent_kernel():
+    # rho(z,a,z') = d(z) pi(a|z) P(z'|z,a) with P built from the policy's own
+    # filtering posterior
+    m = make_tabular("random", 5, 3, n_obs=3, seed=41, gamma=0.9)
+    scheme = LatentScheme(2)
+    pol = _policy_for(m, scheme, 42)
+    tab = occupancies(m, scheme, pol)
+    kernel, reachable = latent_kernel(m, scheme, tab)
+    assert reachable.all()  # dense T and U visit every window
+    factored = tab.d_z[:, None, None] * pol[:, :, None] * kernel
+    assert np.max(np.abs(tab.rho_zaz - factored)) < 1e-12
+
+
 def test_latent_kernel_identity_reduction_and_rows():
     m = _mdp(6, 3, seed=8)
     scheme = LatentScheme(1)
