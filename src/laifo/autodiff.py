@@ -418,7 +418,8 @@ def _vjp_clip(E, g, inputs, out, i):
 
 
 def _fw_l2norm(attrs, x):
-    return np.sqrt(np.add.reduce(x * x, axis=attrs.get("axis")) + NORM_OFFSET)
+    return np.sqrt(np.add.reduce(x * x, axis=attrs.get("axis"),
+                                 keepdims=attrs.get("keepdims", False)) + NORM_OFFSET)
 
 
 def _vjp_l2norm(E, g, inputs, out, i):

@@ -8,6 +8,13 @@ encoder always sees exactly d frames. There is one window-assembly path:
 the expert sampler fills a ring of exactly its dataset's size in bulk,
 leaving it as pushing every frame in order would, and gathers through
 the same code as the agent's buffer.
+
+Image frames (two or more axes) are stored as the uint8 codes 2·x, a
+quarter of their float32 size. The renderer emits only 0, 0.5 and 1, so
+the codes are lossless and a sampled window is bit-equal to the float32
+frames pushed. A pushed image frame holding any other value is refused;
+an expert dataset holding one keeps a float32 ring. Vector frames are
+stored as float32.
 """
 
 from __future__ import annotations
@@ -21,6 +28,18 @@ import numpy as np
 DATASET_MAGIC = b"LAIFO1"
 
 
+def _encode(frames):
+    """The uint8 codes 2·x of float32 image frames, or None unless every
+    value is 0, 0.5 or 1, i.e. unless the codes decode to the frames bit
+    for bit."""
+    codes = np.add(frames >= 0.5, frames >= 1, dtype=np.uint8)
+    return codes if _decode(codes).tobytes() == frames.tobytes() else None
+
+
+def _decode(codes):
+    return np.multiply(codes, np.float32(0.5), dtype=np.float32)
+
+
 @dataclass
 class StackedBatch:
     windows: np.ndarray        # (B, d, *obs)
@@ -30,13 +49,19 @@ class StackedBatch:
 
 
 class ReplayBuffer:
+    """Ring of the last `capacity` frames with the action and reward of the
+    transition into each. Image frames are kept as the uint8 codes 2·x and
+    must hold only 0, 0.5 and 1; vector frames are kept as float32, and so
+    are the frames of an expert dataset whose pixels have no code."""
+
     def __init__(self, capacity, obs_shape, act_shape):
         if capacity < 2:
             raise ValueError("capacity must be at least 2 frames")
         self.capacity = int(capacity)
         self.obs_shape = tuple(obs_shape)
         self.act_shape = tuple(act_shape)
-        self._obs = np.zeros((self.capacity, *self.obs_shape), dtype=np.float32)
+        self._obs = np.zeros((self.capacity, *self.obs_shape),
+                             dtype=np.uint8 if len(self.obs_shape) >= 2 else np.float32)
         self._act = np.zeros((self.capacity, *self.act_shape), dtype=np.float32)
         self._rew = np.zeros(self.capacity, dtype=np.float64)
         self._episode = np.full(self.capacity, -1, dtype=np.int64)
@@ -50,6 +75,10 @@ class ReplayBuffer:
         if obs.shape != self.obs_shape:
             raise ValueError(
                 f"observation shape {obs.shape} does not match buffer {self.obs_shape}")
+        if self._obs.dtype == np.uint8:
+            obs = _encode(obs)
+            if obs is None:
+                raise ValueError("image frames must hold only 0, 0.5 and 1")
         if action is None:
             if not self._prev_done:
                 raise ValueError("action=None is only valid for an episode's first frame")
@@ -132,11 +161,16 @@ class ReplayBuffer:
             raise ValueError("buffer holds no complete transition")
         return self._gather(self._sample_sources(batch, rng), d)
 
+    def _frames(self, slots):
+        """The float32 frames stored at `slots`."""
+        frames = self._obs[slots]
+        return _decode(frames) if frames.dtype == np.uint8 else frames
+
     def _gather(self, picks, d):
         """The StackedBatch of the transitions starting at slots `picks`."""
         succ = (picks + 1) % self.capacity
-        wins = self._obs[self._window_indices(picks, d)]
-        nxt_wins = self._obs[self._window_indices(succ, d)]
+        wins = self._frames(self._window_indices(picks, d))
+        nxt_wins = self._frames(self._window_indices(succ, d))
         return StackedBatch(wins, self._act[succ].copy(), self._rew[succ].copy(),
                             nxt_wins)
 
@@ -189,6 +223,10 @@ class ExpertDataset:
                                  f"{(n - 1, *self.act_shape)}, got {ep.actions.shape}")
             if ep.rewards is not None and len(ep.rewards) != n - 1:
                 raise ValueError(f"episode {k}: expected {n - 1} rewards")
+            for name in ("observations", "actions", "rewards"):
+                values = getattr(ep, name)
+                if values is not None and not np.isfinite(values).all():
+                    raise ValueError(f"episode {k}: {name} hold NaN or inf")
 
 
 def save_dataset(dataset, path):
@@ -292,10 +330,17 @@ class ExpertWindowSampler:
         # next write wraps to slot 0) and the last frame ended an episode
         ring = ReplayBuffer(sum(len(ep) for ep in dataset.episodes),
                             dataset.obs_shape, dataset.act_shape)
+        frames = [ep.observations for ep in dataset.episodes]
+        if ring._obs.dtype == np.uint8:
+            codes = [_encode(obs) for obs in frames]
+            if all(c is not None for c in codes):
+                frames = codes
+            else:  # a LAIFO1 file may hold any float32 pixel: keep them all
+                ring._obs = np.zeros(ring._obs.shape, dtype=np.float32)
         start = 0
         for k, ep in enumerate(dataset.episodes):
             end = start + len(ep)
-            ring._obs[start:end] = ep.observations
+            ring._obs[start:end] = frames[k]
             if ep.actions is not None:
                 ring._act[start + 1:end] = ep.actions
             if ep.rewards is not None:

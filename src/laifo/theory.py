@@ -257,7 +257,8 @@ def f_divergence(kind, p, q):
         return _kl(p, q)
     if kind == "js":
         m = 0.5 * (p + q)
-        return _kl(p, m) + _kl(q, m)
+        # equal inputs can round to about -1e-17, whose square root is NaN
+        return max(_kl(p, m) + _kl(q, m), 0.0)
     raise ValueError(f"unknown divergence kind {kind!r}")
 
 

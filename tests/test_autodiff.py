@@ -138,7 +138,8 @@ _KIND_CASES = {
     "concat": ([(2, 2), (2, 3)],
                lambda ps: apply("sum", [apply("square", [apply("concat", ps, axis=1)])])),
     "clip": ([(6,)], lambda ps: apply("sum", [apply("square", [apply("clip", ps, lo=-0.5, hi=0.5)])])),
-    "l2norm": ([(4, 3)], lambda ps: apply("sum", [apply("l2norm", ps, axis=1)])),
+    "l2norm": ([(4, 3)], lambda ps: apply("sum", [apply("l2norm", ps, axis=1)]) + apply(
+        "sum", [apply("square", [apply("l2norm", ps, axis=0, keepdims=True)])])),
     "div": ([(3, 2), (3, 2)],
             lambda ps: apply("sum", [apply("div", [ps[0], apply("square", [ps[1]]) + 0.5])])),
     # position-dependent weights catch a reshape that scrambles the order

@@ -261,6 +261,25 @@ def test_cli_dataset_action_shape_mismatch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_non_finite_dataset_exits_1(tmp_path, capsys):
+    from laifo.replay import Episode, ExpertDataset, save_dataset
+    data_path = tmp_path / "nan.laifo"
+    obs = np.zeros((3, 2), dtype=np.float32)
+    obs[1, 0] = 7.0
+    save_dataset(ExpertDataset("pointmass-v", (2,), (2,), [
+        Episode(obs, np.zeros((2, 2), dtype=np.float32),
+                np.zeros(2, dtype=np.float32))]), data_path)
+    raw = data_path.read_bytes()
+    data_path.write_bytes(raw.replace(np.float32(7.0).tobytes(),
+                                      np.float32(np.nan).tobytes()))
+    code = run(["imitate", "--algo", "lail", "--env", "pointmass-v",
+                "--expert-data", str(data_path), "--out-dir", str(tmp_path / "x"),
+                "--frames", "50"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: episode 0: observations hold NaN or inf\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_sparse_pendulum_exits_1(tmp_path, capsys):
     code = run(["train-expert", "--env", "pendulum-po", "--reward-mode", "sparse",
                 "--out-dir", str(tmp_path / "x"), "--frames", "1"])

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from laifo.envs import PointMass
 from laifo.replay import (DATASET_MAGIC, Episode, ExpertDataset,
                           ExpertWindowSampler, ReplayBuffer, load_dataset,
                           save_dataset)
@@ -228,28 +229,38 @@ def _clamped_reference(dataset, d, batch, rng, with_actions):
     return windows(ts), acts, windows(ts + 1)
 
 
+def _frames(rng, shape):
+    """Random float32 frames of shape (n, *obs): normal vectors, or images
+    holding only the renderer's values 0, 0.5 and 1."""
+    if len(shape) == 2:
+        return rng.normal(size=shape).astype(np.float32)
+    return (rng.integers(0, 3, size=shape) * 0.5).astype(np.float32)
+
+
 @pytest.mark.parametrize("with_actions", [False, True])
 @pytest.mark.parametrize("with_rewards", [False, True])
 def test_expert_sampler_ring_equals_frame_by_frame_pushes(with_actions, with_rewards):
-    rng = np.random.default_rng(50)
-    eps = [Episode(rng.standard_normal((n, 3)).astype(np.float32),
-                   rng.standard_normal((n - 1, 2)).astype(np.float32) if with_actions else None,
-                   rng.standard_normal(n - 1).astype(np.float32) if with_rewards else None)
-           for n in (2, 5, 2, 9, 3, 2, 7)]
-    ring = ExpertWindowSampler(ExpertDataset("pointmass-v", (3,), (2,), eps), 2)._ring
-    ref = ReplayBuffer(sum(len(ep) for ep in eps), (3,), (2,))
-    for ep in eps:
-        ref.push(ep.observations[0], None)
-        for t in range(1, len(ep)):
-            ref.push(ep.observations[t],
-                     np.zeros(2) if ep.actions is None else ep.actions[t - 1],
-                     0.0 if ep.rewards is None else ep.rewards[t - 1],
-                     done=t == len(ep) - 1)
-    for name in ("_obs", "_act", "_rew", "_episode"):
-        got, want = getattr(ring, name), getattr(ref, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    for name in ("_idx", "size", "_ep_counter", "_prev_done"):
-        assert getattr(ring, name) == getattr(ref, name), name
+    for obs_shape in ((3,), (32, 32)):  # a float32 ring and a uint8 one
+        rng = np.random.default_rng(50)
+        eps = [Episode(_frames(rng, (n, *obs_shape)),
+                       rng.standard_normal((n - 1, 2)).astype(np.float32)
+                       if with_actions else None,
+                       rng.standard_normal(n - 1).astype(np.float32) if with_rewards else None)
+               for n in (2, 5, 2, 9, 3, 2, 7)]
+        ring = ExpertWindowSampler(ExpertDataset("pointmass-v", obs_shape, (2,), eps), 2)._ring
+        ref = ReplayBuffer(sum(len(ep) for ep in eps), obs_shape, (2,))
+        for ep in eps:
+            ref.push(ep.observations[0], None)
+            for t in range(1, len(ep)):
+                ref.push(ep.observations[t],
+                         np.zeros(2) if ep.actions is None else ep.actions[t - 1],
+                         0.0 if ep.rewards is None else ep.rewards[t - 1],
+                         done=t == len(ep) - 1)
+        for name in ("_obs", "_act", "_rew", "_episode"):
+            got, want = getattr(ring, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name in ("_idx", "size", "_ep_counter", "_prev_done"):
+            assert getattr(ring, name) == getattr(ref, name), name
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -275,3 +286,89 @@ def test_expert_sampler_matches_clamped_reference(d, obs_shape):
             else:
                 assert batch.actions is None
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_image_frames_are_stored_as_uint8_codes():
+    for shape in ((32, 32), (84, 84)):
+        assert ReplayBuffer(8, shape, (2,))._obs.dtype == np.uint8
+    assert ReplayBuffer(8, (2,), (2,))._obs.dtype == np.float32
+    # np.zeros is lazy: this default-capacity px84 ring touches no memory
+    assert ReplayBuffer(100_000, (84, 84), (2,))._obs.nbytes == 705_600_000
+
+
+def test_pushed_rendered_frames_sample_back_bit_equal():
+    env = PointMass(seed=3, obs_mode="pixel", image_size=32)
+    buf = ReplayBuffer(300, env.obs_shape, (2,))
+    pushed = np.zeros((buf.capacity, *env.obs_shape), dtype=np.float32)
+    rng = np.random.default_rng(8)
+    for _ in range(2):  # 402 frames: the ring wraps
+        frame, done = env.reset(), False
+        pushed[buf._idx] = frame
+        buf.push(frame, action=None)
+        while not done:
+            a = rng.uniform(-1, 1, size=2)
+            frame, r, done = env.step(a)
+            pushed[buf._idx] = frame
+            buf.push(frame, action=a, reward=r, done=done)
+    assert buf.size == buf.capacity
+    picks = buf._sample_sources(64, rng)
+    batch = buf._gather(picks, 3)
+    assert batch.windows.dtype == batch.next_windows.dtype == np.float32
+    assert np.array_equal(batch.windows, pushed[buf._window_indices(picks, 3)])
+    assert np.array_equal(batch.next_windows,
+                          pushed[buf._window_indices((picks + 1) % buf.capacity, 3)])
+
+
+@pytest.mark.parametrize("value", [0.25, -0.5, 1.5, np.nan])
+def test_push_refuses_image_frames_without_a_code(value):
+    buf = ReplayBuffer(8, (4, 4), (2,))
+    bad = np.zeros((4, 4), dtype=np.float32)
+    bad[1, 2] = value
+    for action, done in ((None, False), (np.ones(2), True)):
+        # an episode's first frame, then a frame inside an episode
+        before = (buf._idx, buf.size, buf._ep_counter, buf._obs.copy())
+        with pytest.raises(ValueError, match="only 0, 0.5 and 1"):
+            buf.push(bad, action=action)
+        assert (buf._idx, buf.size, buf._ep_counter) == before[:3]
+        assert np.array_equal(buf._obs, before[3])
+        buf.push(np.full((4, 4), 0.5), action=action, done=done)
+
+
+@pytest.mark.parametrize("stray", [None, 0.3])
+def test_expert_sampler_keeps_float32_pixels_without_a_code(stray):
+    rng = np.random.default_rng(60)
+    eps = [Episode(_frames(rng, (n, 6, 6)), rng.standard_normal((n - 1, 2)).astype(np.float32),
+                   rng.standard_normal(n - 1).astype(np.float32))
+           for n in (2, 5, 9, 3)]
+    if stray is not None:
+        eps[2].observations[4, 1, 5] = stray
+    ds = ExpertDataset("pointmass-px32", (6, 6), (2,), eps)
+    sampler = ExpertWindowSampler(ds, 3)
+    assert sampler._ring._obs.dtype == (np.uint8 if stray is None else np.float32)
+    got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(3):
+        batch = sampler.sample(200, got_rng)
+        wins, _, nxt = _clamped_reference(ds, 3, 200, ref_rng, False)
+        assert batch.windows.dtype == np.float32
+        assert np.array_equal(batch.windows, wins)
+        assert np.array_equal(batch.next_windows, nxt)
+
+
+@pytest.mark.parametrize("field", ["observations", "actions", "rewards"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_expert_data_refused(tmp_path, field, value):
+    path = tmp_path / "e.laifo"
+    save_dataset(_toy_dataset(), path)
+    ds = load_dataset(path)
+    getattr(ds.episodes[1], field).flat[2] = value
+    message = f"episode 1: {field} hold NaN or inf"
+    with pytest.raises(ValueError, match=message):
+        ExpertWindowSampler(ds, 2)
+    # a LAIFO1 file can hold any float32: loading refuses it
+    raw = path.read_bytes()
+    good = getattr(_toy_dataset().episodes[1], field).flat[2].tobytes()
+    assert raw.count(good) == 1
+    bad = tmp_path / "bad.laifo"
+    bad.write_bytes(raw.replace(good, np.float32(value).tobytes()))
+    with pytest.raises(ValueError, match=message):
+        load_dataset(bad)

@@ -279,6 +279,18 @@ def test_lemma4_tv_bounded_by_sqrt_js_random_pairs():
         assert tv <= np.sqrt(js) + 1e-12
 
 
+def test_lemma4_finite_when_latent_occupancies_agree():
+    # with one action every policy is the same, so the two rho_zz agree and
+    # their JS divergence is zero up to rounding
+    scheme = LatentScheme(1)
+    for n in range(2, 7):
+        for seed in range(6):
+            m = make_tabular("random", n, 1, seed=seed)
+            rep = verify("lemma4", m, scheme, _policy_for(m, scheme, seed),
+                         _policy_for(m, scheme, seed + 100))
+            assert np.isfinite(rep.rhs) and rep.slack >= -1e-8
+
+
 def test_theorem3_monotone_on_lifted_windows():
     scheme = LatentScheme(2)
     for i in range(10):
