@@ -83,6 +83,10 @@ class Config:
             (self.z_dim >= 1, "z_dim must be >= 1"),
             (self.hidden >= 1, "hidden must be >= 1"),
             (self.sigma_decay_frames >= 0, "sigma_decay_frames must be >= 0"),
+            (self.bc_steps >= 1, "bc_steps must be >= 1"),
+            (self.warmup >= 0, "warmup must be >= 0"),
+            (self.lr > 0, "lr must be > 0"),
+            (self.disc_lr > 0, "disc_lr must be > 0"),
         )
         for ok, msg in checks:
             if not ok:
@@ -179,10 +183,6 @@ class AgentBundle:
     actor_opt: Adam = None
     critic_opt: Adam = None
     disc_opt: Adam = None
-
-    def latent(self, windows):
-        """Stop-gradient latents for a batch of windows."""
-        return self.enc.values(windows)
 
     def named_params(self):
         parts = [self.actor, self.critics, self.enc]
@@ -347,7 +347,7 @@ class WindowPolicy:
         self.window.append(obs)
 
     def action(self):
-        z = self.bundle.latent(self.window.stacked()[None])
+        z = self.bundle.enc.values(self.window.stacked()[None])
         return self.bundle.actor.values(z)[0]
 
 
@@ -464,7 +464,7 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
         if t <= cfg.warmup:
             a = rng.uniform(-1.0, 1.0, env.act_dim)
         else:
-            z = bundle.latent(window.stacked()[None])
+            z = bundle.enc.values(window.stacked()[None])
             a = nets.act(bundle.actor, z, sigma_t, None, rng)[0]
         obs, r, done = env.step(a)
         buffer.push(obs, a, r, done)
@@ -506,9 +506,9 @@ def _disc_step(bundle, buffer, sampler, cfg, pairing, rng):
         # (z, a) or (z, z') rows from independently augmented windows
         w_t, w_t1 = augment.augment_pair(batch.windows, batch.next_windows,
                                          cfg.pad, rng)
-        z = bundle.latent(w_t)
+        z = bundle.enc.values(w_t)
         right = (batch.actions.astype(z.dtype) if pairing == "action"
-                 else bundle.latent(w_t1))
+                 else bundle.enc.values(w_t1))
         return np.concatenate([z, right], axis=1)
 
     agent_pairs = pairs(agent)  # first, so the augmentation draws keep their order

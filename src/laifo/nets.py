@@ -11,13 +11,11 @@ two runs, and their numbers are bit-identical.
 from __future__ import annotations
 
 import copy
-import json
-import struct
 
 import numpy as np
 
 from .autodiff import EAGER, GRAPH, sigmoid_values, tensor
-from .replay import _read_exact, _require
+from .replay import _read_exact, _read_header, _require, _write_header
 
 CKPT_MAGIC = b"LAIFO-CKPT1"
 
@@ -321,13 +319,9 @@ def discriminate(disc, left, right):
 def save_checkpoint(path, named_params):
     """named_params: iterable of (name, ndarray)."""
     items = [(name, np.asarray(arr, dtype=np.float64)) for name, arr in named_params]
-    manifest = json.dumps(
-        {"params": [{"name": n, "shape": list(a.shape)} for n, a in items]}
-    ).encode("utf-8")
+    manifest = {"params": [{"name": n, "shape": list(a.shape)} for n, a in items]}
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(manifest)))
-        f.write(manifest)
+        _write_header(f, CKPT_MAGIC, manifest)
         for _, a in items:
             f.write(a.astype("<f8").tobytes())
 
@@ -336,13 +330,9 @@ def load_checkpoint(path):
     """Returns dict name -> float64 array. A file cut short, or with bytes
     after its last array, raises ValueError."""
     with open(path, "rb") as f:
-        magic = f.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (n,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint manifest length"))
-        manifest = json.loads(_read_exact(f, n, "checkpoint manifest").decode("utf-8"))
+        (entries,) = _read_header(f, CKPT_MAGIC, "checkpoint", "checkpoint manifest",
+                                  ("params",))
         out = {}
-        (entries,) = _require(manifest, ("params",), "checkpoint manifest")
         for entry in entries:
             name, shape = _require(entry, ("name", "shape"), "checkpoint manifest entry")
             shape = tuple(shape)

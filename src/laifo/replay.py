@@ -233,7 +233,7 @@ def save_dataset(dataset, path):
     dataset.validate()
     has_a = bool(dataset.has_actions)
     has_r = bool(dataset.has_rewards)
-    header = json.dumps({
+    header = {
         "env": dataset.env_id,
         "obs_shape": list(dataset.obs_shape),
         "act_shape": list(dataset.act_shape),
@@ -241,11 +241,9 @@ def save_dataset(dataset, path):
         "dtype": "f32le",
         "has_actions": has_a,
         "has_rewards": has_r,
-    }).encode("utf-8")
+    }
     with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
+        _write_header(f, DATASET_MAGIC, header)
         for ep in dataset.episodes:
             n = len(ep.observations)
             f.write(struct.pack("<I", n))
@@ -254,6 +252,25 @@ def save_dataset(dataset, path):
                 f.write(ep.actions.astype("<f4").tobytes())
             if has_r:
                 f.write(ep.rewards.astype("<f4").tobytes())
+
+
+def _write_header(f, magic, header):
+    """The framing both on-disk formats open with: the magic bytes, a u32 LE
+    length, then the header as UTF-8 JSON."""
+    raw = json.dumps(header).encode("utf-8")
+    f.write(magic)
+    f.write(struct.pack("<I", len(raw)))
+    f.write(raw)
+
+
+def _read_header(f, magic, kind, what, keys):
+    """The values of `keys` in the JSON header written by `_write_header`;
+    errors call the file a `kind` and the header its `what`."""
+    got = f.read(len(magic))
+    if got != magic:
+        raise ValueError(f"bad {kind} magic {got!r}")
+    (n,) = struct.unpack("<I", _read_exact(f, 4, f"{what} length"))
+    return _require(json.loads(_read_exact(f, n, what).decode("utf-8")), keys, what)
 
 
 def _read_exact(f, n, what):
@@ -274,14 +291,9 @@ def _require(header, keys, what):
 
 def load_dataset(path):
     with open(path, "rb") as f:
-        magic = f.read(len(DATASET_MAGIC))
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"bad dataset magic {magic!r}")
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "dataset header length"))
-        header = json.loads(_read_exact(f, hlen, "dataset header").decode("utf-8"))
-        env_id, obs_shape, act_shape, n_episodes, has_a, has_r = _require(
-            header, ("env", "obs_shape", "act_shape", "episodes", "has_actions",
-                     "has_rewards"), "dataset header")
+        env_id, obs_shape, act_shape, n_episodes, has_a, has_r = _read_header(
+            f, DATASET_MAGIC, "dataset", "dataset header",
+            ("env", "obs_shape", "act_shape", "episodes", "has_actions", "has_rewards"))
         obs_shape, act_shape = tuple(obs_shape), tuple(act_shape)
         obs_size = int(np.prod(obs_shape))
         act_size = int(np.prod(act_shape)) if act_shape else 1

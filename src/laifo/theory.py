@@ -4,9 +4,13 @@ of the suboptimality bounds.
 The pair (hidden state, observation window) is Markov, so normalized
 discounted occupancies come from one dense linear solve over the
 reachable pairs; every divergence, posterior, and bound side is then an
-exact finite sum. The pair step is built once, by the search in
-`_reach`, as flat arrays of policy-free edges; the joint chain,
-rho(z,a,z') and P(z'|z,a) are weighted sums over those edges.
+exact finite sum. The pair step is built by the search in `_reach`, as
+flat arrays of policy-free edges; the joint chain, rho(z,a,z') and
+P(z'|z,a) are weighted sums over those edges. `verify` builds the step
+once per instance and solves both policies' `OccupancyTables` on it;
+the tables carry their policy and that step, so every derived quantity
+(latent kernel, action posterior, value, correction term) reads tables
+alone and never repeats the search or the solve.
 Monte-Carlo rollouts serve as an independent oracle: they sample from T,
 U and their own window-shift table, not from the edge arrays, so a
 fault in the search cannot hide in both.
@@ -45,18 +49,6 @@ class LatentScheme:
 
     def shift(self, window, x_new):
         return window[1:] + (x_new,) if self.k > 1 else (x_new,)
-
-
-@dataclass
-class JointChain:
-    """Markov chain over reachable (state, window) pairs for one policy."""
-
-    pairs: list            # [(s, window)]
-    windows: list          # window alphabet (reachable under any action)
-    pair_index: dict
-    window_index: dict
-    transition: np.ndarray  # (N, N) row-stochastic
-    init: np.ndarray        # (N,)
 
 
 def _check_sizes(pomdp, scheme):
@@ -117,9 +109,11 @@ def enumerate_reachable(pomdp, scheme):
 
 
 def joint_chain(pomdp, scheme, policy):
-    """Transition matrix over (state, window) pairs under a policy given
-    as rows over the window alphabet (see `enumerate_reachable`)."""
-    return _joint_chain(pomdp, _reach(pomdp, scheme), policy)
+    """(transition (N, N), init (N,)) over the (state, window) pairs, in
+    `enumerate_reachable`'s order, under a policy given as rows over the
+    window alphabet."""
+    reach = _reach(pomdp, scheme)
+    return _joint_chain(pomdp, reach, policy), reach.init
 
 
 def _joint_chain(pomdp, reach, policy):
@@ -133,17 +127,18 @@ def _joint_chain(pomdp, reach, policy):
     p = np.zeros((n, n))
     np.add.at(p, (reach.src, reach.dst),
               policy[reach.window[reach.src], reach.act] * reach.prob)
-    return JointChain(reach.pairs, reach.windows, reach.pair_index,
-                      reach.window_index, p, reach.init)
+    return p
 
 
 @dataclass
 class OccupancyTables:
-    """Normalized discounted visitation tables for one policy."""
+    """Normalized discounted visitation tables for one policy, with the
+    policy (Z, A) and the `_reach` pair step they were solved on."""
 
     windows: list
     window_index: dict
     gamma: float
+    policy: np.ndarray     # (Z, A)
     d_joint: np.ndarray    # (S, Z) occupancy over (state, window)
     d_z: np.ndarray        # (Z,)
     rho_za: np.ndarray     # (Z, A)
@@ -153,6 +148,7 @@ class OccupancyTables:
     rho_sa: np.ndarray     # (S, A)
     rho_ss: np.ndarray     # (S, S)
     p_s_given_z: np.ndarray  # (S, Z), zero columns where d_z == 0
+    reach: _Reach = field(repr=False)
 
     def check_consistency(self, atol=1e-9):
         for name, table in (("d_z", self.d_z), ("rho_za", self.rho_za),
@@ -172,16 +168,19 @@ class OccupancyTables:
 def occupancies(pomdp, scheme, policy, gamma=None):
     """Exact tables from the linear solve d = (1-g) init + g P^T d."""
     gamma = pomdp.gamma if gamma is None else gamma
+    return _occupancies(pomdp, _reach(pomdp, scheme), policy, gamma)
+
+
+def _occupancies(pomdp, reach, policy, gamma):
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    reach = _reach(pomdp, scheme)
-    chain = _joint_chain(pomdp, reach, policy)
-    n = len(chain.pairs)
-    a_mat = np.eye(n) - gamma * chain.transition.T
-    d = np.linalg.solve(a_mat, (1.0 - gamma) * chain.init)
+    transition = _joint_chain(pomdp, reach, policy)
+    n = len(reach.pairs)
+    a_mat = np.eye(n) - gamma * transition.T
+    d = np.linalg.solve(a_mat, (1.0 - gamma) * reach.init)
 
     n_s, n_a = pomdp.n_states, pomdp.n_actions
-    n_z = len(chain.windows)
+    n_z = len(reach.windows)
     policy = np.asarray(policy, dtype=float)
     d_joint = np.zeros((n_s, n_z))
     d_joint[reach.state, reach.window] = d
@@ -199,40 +198,38 @@ def occupancies(pomdp, scheme, policy, gamma=None):
     rho_ss = np.einsum("sa,sat->st", rho_sa, pomdp.transition)
     with np.errstate(invalid="ignore", divide="ignore"):
         p_s_given_z = np.where(d_z > 0, d_joint / d_z, 0.0)
-    return OccupancyTables(chain.windows, chain.window_index, gamma, d_joint,
-                           d_z, rho_za, rho_zz, rho_zaz, d_s, rho_sa, rho_ss,
-                           p_s_given_z)
+    return OccupancyTables(reach.windows, reach.window_index, gamma, policy,
+                           d_joint, d_z, rho_za, rho_zz, rho_zaz, d_s, rho_sa,
+                           rho_ss, p_s_given_z, reach)
 
 
-def latent_kernel(pomdp, scheme, ref_tables):
-    """P(z'|z,a) built from a reference filtering posterior P(s|z).
+def latent_kernel(tables):
+    """P(z'|z,a) built from the tables' filtering posterior P(s|z) and the
+    pair step they were solved on; the tables' policy is not read.
 
     Returns (kernel (Z, A, Z), reachable (Z,) mask); rows for windows the
-    reference policy never visits are zero and flagged unreachable.
+    tables' policy never visits are zero and flagged unreachable.
     """
-    reach = _reach(pomdp, scheme)
-    n_z = len(reach.windows)
+    reach = tables.reach
     z, z2 = reach.window[reach.src], reach.window[reach.dst]
-    kernel = np.zeros((n_z, pomdp.n_actions, n_z))
+    kernel = np.zeros(tables.rho_zaz.shape)
     np.add.at(kernel, (z, reach.act, z2),
-              ref_tables.p_s_given_z[reach.state[reach.src], z] * reach.prob)
-    return kernel, ref_tables.d_z > 0
+              tables.p_s_given_z[reach.state[reach.src], z] * reach.prob)
+    return kernel, tables.d_z > 0
 
 
-def action_posterior(pomdp, scheme, policy, tables=None):
-    """P_pi(a | z, z') for reachable latent transitions.
+def action_posterior(tables):
+    """P_pi(a | z, z') for reachable latent transitions, from the tables'
+    `latent_kernel` weighted by the tables' policy.
 
     Returns (posterior (Z, Z, A), valid (Z, Z) mask); entries outside the
     mask are zero and excluded from any expectation.
     """
-    if tables is None:
-        tables = occupancies(pomdp, scheme, policy)
-    kernel, _ = latent_kernel(pomdp, scheme, tables)
-    policy = np.asarray(policy, dtype=float)
-    weighted = kernel * policy[:, :, None]          # (Z, A, Z')
+    kernel, _ = latent_kernel(tables)
+    weighted = kernel * tables.policy[:, :, None]   # (Z, A, Z')
     denom = weighted.sum(axis=1)                    # (Z, Z')
     valid = denom > 0
-    post = np.zeros((denom.shape[0], denom.shape[1], pomdp.n_actions))
+    post = np.zeros((denom.shape[0], denom.shape[1], kernel.shape[1]))
     zi, zj = np.nonzero(valid)
     post[zi, zj, :] = weighted[zi, :, zj] / denom[zi, zj][:, None]
     return post, valid
@@ -269,12 +266,10 @@ def _kl(p, q):
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def policy_value(pomdp, scheme, policy, reward_mode="sa", tables=None):
+def policy_value(pomdp, tables, reward_mode="sa"):
     """J(pi) = E_rho[R] / (1 - gamma) under the matching occupancy."""
     if reward_mode not in ("sa", "ss"):
         raise ValueError(f"reward mode must be 'sa' or 'ss', got {reward_mode!r}")
-    if tables is None:
-        tables = occupancies(pomdp, scheme, policy)
     if reward_mode == "sa":
         mean_r = float(np.sum(tables.rho_sa * pomdp.reward_sa))
     else:
@@ -282,29 +277,21 @@ def policy_value(pomdp, scheme, policy, reward_mode="sa", tables=None):
     return mean_r / (1.0 - tables.gamma)
 
 
-def c_term(pomdp, scheme, policy_theta, policy_expert, r_max=None, gamma=None,
-           tables_theta=None, tables_expert=None):
+def c_term(pomdp, tables_theta, tables_expert):
     """Posterior-disagreement correction:
-    (2 R_max / (1-gamma)) E_{rho_theta(z,z')}[ TV(P_theta(a|z,z'), P_E(a|z,z')) ].
+    (2 R_max / (1-gamma)) E_{rho_theta(z,z')}[ TV(P_theta(a|z,z'), P_E(a|z,z')) ],
+    with R_max over the (s, a) reward and gamma of the agent's tables.
     Pairs with positive agent mass but undefined expert posterior are
     excluded (and would be flagged by verify as assumption violations)."""
-    if tables_theta is None:
-        tables_theta = occupancies(pomdp, scheme, policy_theta)
-    if tables_expert is None:
-        tables_expert = occupancies(pomdp, scheme, policy_expert)
-    if r_max is None:
-        r_max = pomdp.r_max("sa")
-    gamma = tables_theta.gamma if gamma is None else gamma
-    return (2.0 * r_max / (1.0 - gamma)) * _expected_posterior_tv(
-        pomdp, scheme, policy_theta, policy_expert, tables_theta, tables_expert)
+    return (2.0 * pomdp.r_max("sa") / (1.0 - tables_theta.gamma)
+            * _expected_posterior_tv(tables_theta, tables_expert))
 
 
-def _expected_posterior_tv(pomdp, scheme, policy_theta, policy_expert,
-                           tables_theta, tables_expert):
+def _expected_posterior_tv(tables_theta, tables_expert):
     """E_{rho_theta(z,z')}[ TV(P_theta(a|z,z'), P_E(a|z,z')) ] over the pairs
     where both posteriors are defined."""
-    post_t, valid_t = action_posterior(pomdp, scheme, policy_theta, tables_theta)
-    post_e, valid_e = action_posterior(pomdp, scheme, policy_expert, tables_expert)
+    post_t, valid_t = action_posterior(tables_theta)
+    post_e, valid_e = action_posterior(tables_expert)
     tv = 0.5 * np.abs(post_t - post_e).sum(axis=2)
     return float(np.sum(np.where(valid_t & valid_e, tables_theta.rho_zz, 0.0) * tv))
 
@@ -353,29 +340,28 @@ def _posterior_dependence(tables_a, tables_b):
 
 
 def verify(claim, pomdp, scheme, policy_theta, policy_expert):
-    """Evaluate one theorem/corollary/lemma on an instance, exactly."""
+    """Evaluate one theorem/corollary/lemma on an instance, exactly: one
+    pair-step search, on which both policies' tables are solved."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIMS}")
-    tab_t = occupancies(pomdp, scheme, policy_theta)
-    tab_e = occupancies(pomdp, scheme, policy_expert)
+    reach = _reach(pomdp, scheme)
+    tab_t = _occupancies(pomdp, reach, policy_theta, pomdp.gamma)
+    tab_e = _occupancies(pomdp, reach, policy_expert, pomdp.gamma)
     gamma = tab_t.gamma
     violation = _posterior_dependence(tab_t, tab_e)
     tv_zz = f_divergence("tv", tab_t.rho_zz.reshape(-1), tab_e.rho_zz.reshape(-1))
 
     if claim in ("theorem1", "corollary1"):
         r_max = pomdp.r_max("sa")
-        lhs = abs(policy_value(pomdp, scheme, policy_expert, "sa", tab_e)
-                  - policy_value(pomdp, scheme, policy_theta, "sa", tab_t))
+        lhs = abs(policy_value(pomdp, tab_e, "sa") - policy_value(pomdp, tab_t, "sa"))
         tv_term = 2.0 * r_max / (1.0 - gamma) * tv_zz
-        c = c_term(pomdp, scheme, policy_theta, policy_expert, r_max, gamma,
-                   tab_t, tab_e)
+        c = c_term(pomdp, tab_t, tab_e)
         rhs = tv_term + (c if claim == "theorem1" else 0.0)
         return BoundReport(claim, lhs, rhs, rhs - lhs, r_max, tv_term, c, violation)
 
     if claim == "theorem2":
         r_max = pomdp.r_max("ss")
-        lhs = abs(policy_value(pomdp, scheme, policy_expert, "ss", tab_e)
-                  - policy_value(pomdp, scheme, policy_theta, "ss", tab_t))
+        lhs = abs(policy_value(pomdp, tab_e, "ss") - policy_value(pomdp, tab_t, "ss"))
         tv_term = 2.0 * r_max / (1.0 - gamma) * tv_zz
         return BoundReport(claim, lhs, tv_term, tv_term - lhs, r_max, tv_term,
                            0.0, violation)
@@ -417,8 +403,7 @@ def verify(claim, pomdp, scheme, policy_theta, policy_expert):
 
     if claim == "lemma2":
         lhs = f_divergence("tv", tab_t.rho_za.reshape(-1), tab_e.rho_za.reshape(-1))
-        expect = _expected_posterior_tv(pomdp, scheme, policy_theta, policy_expert,
-                                        tab_t, tab_e)
+        expect = _expected_posterior_tv(tab_t, tab_e)
         rhs = expect + tv_zz
         return BoundReport(claim, lhs, rhs, rhs - lhs, 0.0, tv_zz, expect, violation)
 

@@ -62,8 +62,8 @@ def test_criterion_1_gradient_correctness():
         wins = rng.standard_normal((cfg.batch, cfg.d, 2))
         nxt = rng.standard_normal((cfg.batch, cfg.d, 2))
         acts = rng.uniform(-1, 1, (cfg.batch, 2))
-        z = bundle.latent(wins)
-        z_next = bundle.latent(nxt)
+        z = bundle.enc.values(wins)
+        z_next = bundle.enc.values(nxt)
 
         # adversarial loss with the double-backprop penalty
         e_pairs = np.concatenate([z_next, z], axis=1)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,9 @@ def test_missing_attributes_rejected():
 @pytest.mark.parametrize("kind", sorted(_KIND_CASES))
 def test_kind_gradients_match_finite_differences(kind):
     shapes, build = _KIND_CASES[kind]
-    rng = np.random.default_rng(hash(kind) % 2**32)
+    # str hash() changes with each process, so the sweep's points (and
+    # whether one lands within eps of the clip kinks) would too
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
     for _ in range(100):
         params = _rand_nodes(rng, shapes)
         assert finite_diff_check(build, params, eps=1e-5) < 1e-4

@@ -172,6 +172,19 @@ def test_cli_bc_writes_run_dir(tmp_path):
     assert len((run_dir / "metrics.csv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cli_bc_without_steps_exits_1(tmp_path, capsys, steps):
+    data_path = tmp_path / "E.laifo"
+    _tiny_dataset(data_path)
+    run_dir = tmp_path / "bc"
+    code = run(["imitate", "--algo", "bc", "--env", "pointmass-v",
+                "--expert-data", str(data_path), "--out-dir", str(run_dir),
+                "--set", f"bc_steps={steps}"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: bc_steps must be >= 1\n"
+    assert not run_dir.exists()
+
+
 def test_cli_record_privileged_stores_states(tmp_path):
     exp_dir = tmp_path / "expert"
     assert run(["train-expert", "--env", "pointmass-v", "--out-dir", str(exp_dir),
@@ -196,7 +209,10 @@ _BAD_SETTINGS = [("eval_interval=0", "eval_interval must be >= 1"),
                  ("eval_interval=-3", "eval_interval must be >= 1"),
                  ("z_dim=0", "z_dim must be >= 1"),
                  ("hidden=0", "hidden must be >= 1"),
-                 ("sigma_decay_frames=-1", "sigma_decay_frames must be >= 0")]
+                 ("sigma_decay_frames=-1", "sigma_decay_frames must be >= 0"),
+                 ("warmup=-5", "warmup must be >= 0"),
+                 ("lr=-1", "lr must be > 0"),
+                 ("disc_lr=0", "disc_lr must be > 0")]
 
 
 @pytest.mark.parametrize("setting, message", _BAD_SETTINGS,

@@ -38,7 +38,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="clip_c"):
         Config(clip_c=0.0)
     for key, value in (("eval_interval", 0), ("eval_interval", -5), ("z_dim", 0),
-                       ("hidden", 0), ("sigma_decay_frames", -1)):
+                       ("hidden", 0), ("sigma_decay_frames", -1), ("bc_steps", 0),
+                       ("bc_steps", -3), ("warmup", -5), ("lr", 0.0), ("lr", -1.0),
+                       ("disc_lr", 0.0), ("disc_lr", -1.0)):
         with pytest.raises(ValueError, match=key):
             Config(**{key: value})
 
@@ -187,7 +189,7 @@ def test_update_discriminator_leaves_encoder_untouched():
     before = [p.values.copy() for p in bundle.enc.params()]
     wins = rng.standard_normal((8, 2, 2)).astype(np.float32)
     nxt = rng.standard_normal((8, 2, 2)).astype(np.float32)
-    z, zn = bundle.latent(wins), bundle.latent(nxt)
+    z, zn = bundle.enc.values(wins), bundle.enc.values(nxt)
     update_discriminator(bundle, np.concatenate([z, zn], 1),
                          np.concatenate([zn, z], 1), cfg, rng)
     for p, b in zip(bundle.enc.params(), before):
@@ -217,8 +219,8 @@ def test_update_critic_gamma_zero_targets_reward_only():
     bundle = _bundle(cfg, seed=13)
     rng = np.random.default_rng(14)
     batch = _toy_batch(rng, cfg)
-    z = bundle.latent(batch.windows)
-    z_next = bundle.latent(batch.next_windows)
+    z = bundle.enc.values(batch.windows)
+    z_next = bundle.enc.values(batch.next_windows)
     r = nets.discriminate(bundle.disc, z, z_next)
     # critics have zero-initialized heads, so loss = mean(r^2) * 2 exactly
     loss, imit_mean = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng)
@@ -238,8 +240,8 @@ def test_update_critic_matches_hand_computed_loss():
     bundle.critics.soft_update(1.0)
     batch = _toy_batch(rng, cfg)
 
-    z = bundle.latent(batch.windows)
-    z_next = bundle.latent(batch.next_windows)
+    z = bundle.enc.values(batch.windows)
+    z_next = bundle.enc.values(batch.next_windows)
     r = nets.discriminate(bundle.disc, z, z_next)
     rng_clone = np.random.default_rng(18)
     a_next = nets.act(bundle.actor, z_next, 0.1, cfg.clip_c, rng_clone)
@@ -341,8 +343,8 @@ def test_losses_pass_finite_difference_checks():
     bundle = _bundle(cfg, seed=25)
     rng = np.random.default_rng(26)
     batch = _toy_batch(rng, cfg, n=4)
-    z = bundle.latent(batch.windows)
-    z_next = bundle.latent(batch.next_windows)
+    z = bundle.enc.values(batch.windows)
+    z_next = bundle.enc.values(batch.next_windows)
     expert_pairs = np.concatenate([z_next, z], axis=1)
     agent_pairs = np.concatenate([z, z_next], axis=1)
 
@@ -470,8 +472,8 @@ def test_rl_plus_videos_uses_env_reward():
     bundle = _bundle(cfg, seed=34)
     rng = np.random.default_rng(35)
     batch = _toy_batch(rng, cfg)
-    z = bundle.latent(batch.windows)
-    z_next = bundle.latent(batch.next_windows)
+    z = bundle.enc.values(batch.windows)
+    z_next = bundle.enc.values(batch.next_windows)
     r_imit = nets.discriminate(bundle.disc, z, z_next)
     loss, _ = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng,
                             use_env_reward=True)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from laifo import theory
 from laifo.envs import make_tabular
-from laifo.theory import (BLANK, LatentScheme, action_posterior, c_term,
+from laifo.theory import (BLANK, CLAIMS, LatentScheme, action_posterior, c_term,
                           enumerate_reachable, f_divergence, joint_chain,
                           latent_kernel, mc_latent_occupancy, mc_policy_value,
                           occupancies, policy_value, random_policy, verify)
@@ -22,27 +23,28 @@ def test_joint_chain_reduces_to_mdp_when_k1_identity():
     m = _mdp()
     scheme = LatentScheme(1)
     pol = _policy_for(m, scheme, 1)
-    chain = joint_chain(m, scheme, pol)
+    transition, init = joint_chain(m, scheme, pol)
+    pairs, _, pair_index, _ = enumerate_reachable(m, scheme)
     # with U = identity and k = 1, pairs are (s, (s,)) and the chain is the MDP
-    assert all(w == (s,) for s, w in chain.pairs)
+    assert all(w == (s,) for s, w in pairs)
     # windows are sorted, so window index == state index
     mdp_chain = np.einsum("sa,sat->st", pol, m.transition)
     for s in range(m.n_states):
         for t in range(m.n_states):
-            i = chain.pair_index[(s, (s,))]
-            j = chain.pair_index[(t, (t,))]
-            assert chain.transition[i, j] == pytest.approx(mdp_chain[s, t], abs=1e-14)
+            i = pair_index[(s, (s,))]
+            j = pair_index[(t, (t,))]
+            assert transition[i, j] == pytest.approx(mdp_chain[s, t], abs=1e-14)
     for s in range(m.n_states):
-        assert chain.init[chain.pair_index[(s, (s,))]] == pytest.approx(m.rho0[s])
+        assert init[pair_index[(s, (s,))]] == pytest.approx(m.rho0[s])
 
 
 def test_joint_chain_rows_stochastic():
     m = make_tabular("random", 6, 3, n_obs=4, seed=2, gamma=0.9)
     scheme = LatentScheme(2)
     pol = _policy_for(m, scheme, 3)
-    chain = joint_chain(m, scheme, pol)
-    assert np.all(np.abs(chain.transition.sum(axis=1) - 1.0) <= 1e-12)
-    assert abs(chain.init.sum() - 1.0) <= 1e-12
+    transition, init = joint_chain(m, scheme, pol)
+    assert np.all(np.abs(transition.sum(axis=1) - 1.0) <= 1e-12)
+    assert abs(init.sum() - 1.0) <= 1e-12
 
 
 def test_occupancy_tables_consistent_and_myopic_limit():
@@ -100,7 +102,7 @@ def test_rho_zaz_factors_through_latent_kernel():
     scheme = LatentScheme(2)
     pol = _policy_for(m, scheme, 42)
     tab = occupancies(m, scheme, pol)
-    kernel, reachable = latent_kernel(m, scheme, tab)
+    kernel, reachable = latent_kernel(tab)
     assert reachable.all()  # dense T and U visit every window
     factored = tab.d_z[:, None, None] * pol[:, :, None] * kernel
     assert np.max(np.abs(tab.rho_zaz - factored)) < 1e-12
@@ -111,7 +113,7 @@ def test_latent_kernel_identity_reduction_and_rows():
     scheme = LatentScheme(1)
     pol = _policy_for(m, scheme, 9)
     tab = occupancies(m, scheme, pol)
-    kernel, reachable = latent_kernel(m, scheme, tab)
+    kernel, reachable = latent_kernel(tab)
     for zi, w in enumerate(tab.windows):
         s = w[0]
         assert np.allclose(kernel[zi], m.transition[s][:, [wj[0] for wj in tab.windows]])
@@ -123,7 +125,7 @@ def test_latent_kernel_injective_support():
     scheme = LatentScheme(1)
     pol = _policy_for(m, scheme, 11)
     tab = occupancies(m, scheme, pol)
-    kernel, reachable = latent_kernel(m, scheme, tab)
+    kernel, reachable = latent_kernel(tab)
     for zi in np.nonzero(reachable)[0]:
         supports = [tuple(np.nonzero(kernel[zi, a])[0]) for a in range(m.n_actions)]
         assert len(set(supports)) == m.n_actions
@@ -133,17 +135,17 @@ def test_action_posterior_properties():
     m = _mdp(5, 1, seed=12)
     scheme = LatentScheme(1)
     pol = _policy_for(m, scheme, 13)
-    post, valid = action_posterior(m, scheme, pol)
+    post, valid = action_posterior(occupancies(m, scheme, pol))
     assert np.allclose(post[valid], 1.0)  # single action
 
     m = _mdp(5, 3, seed=14)
     pol = _policy_for(m, scheme, 15)
-    post, valid = action_posterior(m, scheme, pol)
+    post, valid = action_posterior(occupancies(m, scheme, pol))
     assert np.all(np.abs(post[valid].sum(axis=-1) - 1.0) <= 1e-12)
 
     m = make_tabular("injective-deterministic", 6, 3, seed=16)
     pol = _policy_for(m, scheme, 17)
-    post, valid = action_posterior(m, scheme, pol)
+    post, valid = action_posterior(occupancies(m, scheme, pol))
     # deterministic injective kernel: the posterior is a point mass on the
     # unique generating action
     zi, zj = np.nonzero(valid)
@@ -172,16 +174,18 @@ def test_policy_value_constant_reward_geometric_series():
     m.reward_sa[...] = 0.5
     scheme = LatentScheme(1)
     pol = _policy_for(m, scheme, 19)
-    j = policy_value(m, scheme, pol, "sa")
+    tab = occupancies(m, scheme, pol)
+    j = policy_value(m, tab, "sa")
     assert j == pytest.approx(0.5 / (1 - 0.9), rel=1e-12)
-    assert policy_value(m, scheme, pol, "sa") == policy_value(m, scheme, pol, "sa")
+    again = occupancies(m, scheme, pol)
+    assert policy_value(m, tab, "sa") == policy_value(m, again, "sa")
 
 
 def test_policy_value_matches_monte_carlo():
     m = make_tabular("random", 5, 2, n_obs=4, seed=20, gamma=0.9)
     scheme = LatentScheme(1)
     pol = _policy_for(m, scheme, 21)
-    exact = policy_value(m, scheme, pol, "sa")
+    exact = policy_value(m, occupancies(m, scheme, pol), "sa")
     est, se = mc_policy_value(m, scheme, pol, "sa", np.random.default_rng(22),
                               n_episodes=4000)
     assert abs(est - exact) <= 3 * se
@@ -206,13 +210,15 @@ def test_c_term_zero_for_identical_policies_and_injective():
     scheme = LatentScheme(1)
     m = _mdp(6, 3, seed=27)
     pol = _policy_for(m, scheme, 28)
-    assert c_term(m, scheme, pol, pol) <= 1e-14
+    tab = occupancies(m, scheme, pol)
+    assert c_term(m, tab, tab) <= 1e-14
 
     m = make_tabular("injective-deterministic", 8, 3, seed=29)
     pol_a = _policy_for(m, scheme, 30)
     pol_b = _policy_for(m, scheme, 31)
-    assert c_term(m, scheme, pol_a, pol_b) <= 1e-10
-    assert c_term(m, scheme, pol_a, pol_b) >= 0.0
+    c = c_term(m, occupancies(m, scheme, pol_a), occupancies(m, scheme, pol_b))
+    assert c <= 1e-10
+    assert c >= 0.0
 
 
 def test_theorem2_bound_on_random_mdp_instances():
@@ -319,6 +325,33 @@ def test_corollary1_c_vanishes():
         rep = verify("corollary1", m, scheme, pol_t, pol_e)
         assert rep.c_value <= 1e-8
         assert rep.slack >= -1e-8
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_verify_searches_the_pair_step_once(monkeypatch, claim):
+    m = make_tabular("random", 4, 2, n_obs=3, seed=44)
+    scheme = LatentScheme(2)
+    pol_t, pol_e = _policy_for(m, scheme, 45), _policy_for(m, scheme, 46)
+    search, calls = theory._reach, []
+
+    def counted(pomdp, scheme):
+        calls.append(scheme)
+        return search(pomdp, scheme)
+
+    monkeypatch.setattr(theory, "_reach", counted)
+    verify(claim, m, scheme, pol_t, pol_e)
+    assert len(calls) == 1
+
+
+def test_verify_bound_terms_match_the_table_functions():
+    m = make_tabular("random", 5, 3, n_obs=3, seed=47, gamma=0.9)
+    scheme = LatentScheme(2)
+    pol_t, pol_e = _policy_for(m, scheme, 48), _policy_for(m, scheme, 49)
+    tab_t, tab_e = occupancies(m, scheme, pol_t), occupancies(m, scheme, pol_e)
+    rep = verify("theorem1", m, scheme, pol_t, pol_e)
+    assert rep.lhs == abs(policy_value(m, tab_e) - policy_value(m, tab_t))
+    assert rep.c_value == c_term(m, tab_t, tab_e)
+    assert rep.c_value > 0.0
 
 
 def test_verify_rejects_unknown_claim():
