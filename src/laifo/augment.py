@@ -45,7 +45,7 @@ def random_shift_batch(windows, pad, rng):
     b, d, h, w = windows.shape
     padded = np.pad(windows, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
     offsets = rng.integers(0, 2 * pad + 1, size=(b, 2))
-    out = np.empty_like(windows)
-    for i, (oy, ox) in enumerate(offsets):
-        out[i] = padded[i, :, oy:oy + h, ox:ox + w]
-    return out
+    # crops[i, :, oy, ox] is sample i's window at offset (oy, ox); one
+    # gather copies each sample's crop, giving (B, d, H, W)
+    crops = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
+    return crops[np.arange(b), :, offsets[:, 0], offsets[:, 1]]

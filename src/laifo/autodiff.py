@@ -8,6 +8,10 @@ gradient of a scalar with respect to an input (`input_gradient`) is itself
 a differentiable node (needed to train a discriminator whose loss contains
 the norm of its own input gradient). Tapes are rebuilt per step; recorded
 values are never mutated in place.
+
+A convolution is `im2col` followed by `affine`. `im2col` gathers each
+output pixel's kh x kw patch into one row with a single strided copy of
+its input; its adjoint `col2im` adds the kh·kw shifted slices back.
 """
 
 from __future__ import annotations
@@ -219,16 +223,18 @@ def _unbroadcast(E, g, shape):
 
 
 def _im2col_values(x, kh, kw, stride):
-    # x is channels-last (B, H, W, C); returns (B*OH*OW, kh*kw*C)
+    # x is channels-last (B, H, W, C); returns a fresh (B*OH*OW, kh*kw*C)
+    # array, copied in one pass from a strided (B, OH, OW, kh, kw, C) view
     b, h, w, c = x.shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    cols = np.empty((b, oh, ow, kh, kw, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = x[:, i:i + stride * oh:stride,
-                                       j:j + stride * ow:stride, :]
-    return cols.reshape(b * oh * ow, kh * kw * c)
+    sb, sh, sw, sc = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, (b, oh, ow, kh, kw, c), (sb, stride * sh, stride * sw, sh, sw, sc),
+        writeable=False)
+    cols = np.empty((b * oh * ow, kh * kw * c), dtype=x.dtype)
+    cols.reshape(patches.shape)[...] = patches
+    return cols
 
 
 def _col2im_values(cols, x_shape, kh, kw, stride):

@@ -139,7 +139,9 @@ class VectorEncoder:
 
 class PixelEncoder:
     """Feature extractor for stacked grayscale frames: two 3x3 stride-2
-    convolutions (the d frames are the input channels) and a linear head."""
+    convolutions (the d frames are the input channels) and a linear head.
+    Windows enter in the parameters' dtype, so every product is a plain
+    float64 (or float32) GEMM; float32 frames widen to float64 exactly."""
 
     KH = KW = 3
     STRIDE = 2
@@ -174,7 +176,8 @@ class PixelEncoder:
                 f"encoder expects windows of {self.d} frames of "
                 f"{self.image_size}x{self.image_size}, got {arr.shape[1:]}")
         # stacked frames become input channels, laid out channels-last
-        return np.ascontiguousarray(arr.transpose(0, 2, 3, 1))
+        return np.ascontiguousarray(arr.transpose(0, 2, 3, 1),
+                                    dtype=self.head_w.values.dtype)
 
     def run(self, E, x):
         b = x.shape[0]

@@ -12,9 +12,9 @@ the same code as the agent's buffer.
 Image frames (two or more axes) are stored as the uint8 codes 2·x, a
 quarter of their float32 size. The renderer emits only 0, 0.5 and 1, so
 the codes are lossless and a sampled window is bit-equal to the float32
-frames pushed. A pushed image frame holding any other value is refused;
-an expert dataset holding one keeps a float32 ring. Vector frames are
-stored as float32.
+frames pushed. A pushed image frame holding any other value, -0.0
+included, is refused; an expert dataset holding one keeps a float32
+ring. Vector frames are stored as float32.
 """
 
 from __future__ import annotations
@@ -26,14 +26,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DATASET_MAGIC = b"LAIFO1"
+# the float32 bit patterns of the two nonzero image values with a code
+_HALF_BITS, _ONE_BITS = np.float32([0.5, 1.0]).view(np.uint32)
 
 
 def _encode(frames):
     """The uint8 codes 2·x of float32 image frames, or None unless every
-    value is 0, 0.5 or 1, i.e. unless the codes decode to the frames bit
-    for bit."""
-    codes = np.add(frames >= 0.5, frames >= 1, dtype=np.uint8)
-    return codes if _decode(codes).tobytes() == frames.tobytes() else None
+    value is bitwise 0.0, 0.5 or 1.0, i.e. unless the codes decode to the
+    frames bit for bit."""
+    if frames.dtype != np.float32:
+        return None
+    bits = frames.view(np.uint32)
+    one = (bits == _ONE_BITS).view(np.uint8)
+    codes = (bits == _HALF_BITS).view(np.uint8) + one
+    codes += one
+    # codes are nonzero exactly where bits are 0.5 or 1.0; any other
+    # nonzero pattern (-0.0 and NaN included) leaves the counts unequal
+    return codes if np.count_nonzero(codes) == np.count_nonzero(bits) else None
 
 
 def _decode(codes):

@@ -341,10 +341,14 @@ def _posterior_dependence(tables_a, tables_b):
 
 def verify(claim, pomdp, scheme, policy_theta, policy_expert):
     """Evaluate one theorem/corollary/lemma on an instance, exactly: one
-    pair-step search, on which both policies' tables are solved."""
+    pair-step search, on which both policies' tables are solved. A policy
+    is a (Z, A) array, or a function of the window count Z returning one;
+    functions are called after the search, policy_theta's first."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIMS}")
     reach = _reach(pomdp, scheme)
+    policy_theta, policy_expert = (p(len(reach.windows)) if callable(p) else p
+                                   for p in (policy_theta, policy_expert))
     tab_t = _occupancies(pomdp, reach, policy_theta, pomdp.gamma)
     tab_e = _occupancies(pomdp, reach, policy_expert, pomdp.gamma)
     gamma = tab_t.gamma

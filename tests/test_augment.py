@@ -14,6 +14,33 @@ def test_pad_zero_is_identity():
     assert np.array_equal(random_shift_batch(w, 0, rng), w)
 
 
+def _shift_loop(windows, pad, rng):
+    # the per-sample crop loop that the single gather replaced
+    b, d, h, w = windows.shape
+    padded = np.pad(windows, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    offsets = rng.integers(0, 2 * pad + 1, size=(b, 2))
+    out = np.empty_like(windows)
+    for i, (oy, ox) in enumerate(offsets):
+        out[i] = padded[i, :, oy:oy + h, ox:ox + w]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [1, 4])
+def test_shift_equals_per_sample_crop_loop(dtype, pad):
+    w = np.random.default_rng(9).uniform(0, 1, (7, 3, 10, 9)).astype(dtype)
+    got_rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
+    for _ in range(3):
+        got = random_shift_batch(w, pad, got_rng)
+        ref = _shift_loop(w, pad, ref_rng)
+        assert got.dtype == dtype and got.shape == w.shape
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, w)
+        assert got.tobytes() == ref.tobytes()
+        # one draw of the same size: the stream continues where the loop's did
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_constant_image_invariant_under_shift():
     rng = np.random.default_rng(1)
     w = np.full((20, 3, 8, 8), 0.7)

@@ -262,3 +262,40 @@ def test_input_gradient_records_only_input_vjps(monkeypatch):
     g = input_gradient(apply("sum", [h]), x)
     assert len(calls) == 3  # one dX per layer, no dW
     assert g.shape == x.shape
+
+
+def _im2col_slices(x, kh, kw, stride):
+    # the kh*kw strided slice copies that im2col's single copy replaced
+    b, h, w, c = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    cols = np.empty((b, oh, ow, kh, kw, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = x[:, i:i + stride * oh:stride,
+                                       j:j + stride * ow:stride, :]
+    return cols.reshape(b * oh * ow, kh * kw * c)
+
+
+@pytest.mark.parametrize("shape,k,stride", [((1, 5, 5, 2), 3, 2),
+                                            ((2, 7, 6, 3), 2, 1),
+                                            ((3, 4, 4, 1), 1, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_im2col_equals_slice_loop_and_owns_its_columns(shape, k, stride, dtype, transposed):
+    rng = np.random.default_rng(zlib.crc32(repr((shape, k)).encode()))
+    x = rng.standard_normal(shape).astype(dtype)
+    if transposed:  # same logical array, non-contiguous memory
+        x = np.ascontiguousarray(x.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
+        assert not x.flags.c_contiguous
+    cols = ad._im2col_values(x, k, k, stride)
+    ref = _im2col_slices(x, k, k, stride)
+    assert cols.dtype == dtype and cols.shape == ref.shape
+    assert cols.tobytes() == ref.tobytes()
+    assert cols.flags.writeable and cols.flags.c_contiguous
+    assert not np.shares_memory(x, cols)
+    # col2im is im2col's adjoint: <im2col(x), g> == <x, col2im(g)>
+    g = rng.standard_normal(cols.shape)
+    lhs = np.sum(cols * g)
+    rhs = np.sum(x * ad._col2im_values(g, x.shape, k, k, stride))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))

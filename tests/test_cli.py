@@ -95,6 +95,20 @@ def test_cli_verify_theory_writes_json(tmp_path, capsys):
     assert "theorem2" in text and "5/5 hold" in text
 
 
+def test_verify_instances_search_each_instance_once(monkeypatch):
+    search, calls = cli.theory._reach, []
+
+    def counted(pomdp, scheme):
+        calls.append(scheme)
+        return search(pomdp, scheme)
+
+    monkeypatch.setattr(cli.theory, "_reach", counted)
+    # every claim but lemma4 generates POMDPs: 6 claims x 25 instances
+    for claim in cli.theory.CLAIMS:
+        verify_instances(claim, 25, seed=0)
+    assert len(calls) == 150
+
+
 def test_verify_instances_lemma4():
     reports = verify_instances("lemma4", 50, seed=3)
     assert all(r.slack >= -1e-12 for r in reports)

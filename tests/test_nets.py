@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laifo import nets
-from laifo.autodiff import GRAPH, apply, backward, finite_diff_check, tensor
+from laifo.autodiff import EAGER, GRAPH, apply, backward, finite_diff_check, tensor
 from laifo.nets import (CKPT_MAGIC, Actor, Discriminator, PixelEncoder,
                         TwinCritics, VectorEncoder, act, discriminate,
                         load_checkpoint, save_checkpoint)
@@ -225,6 +225,29 @@ def test_forward_matches_values_and_differentiates(name, dtype):
             return apply("mean", [apply("square", [forward()])])
 
         assert finite_diff_check(loss, params, eps=1e-5) < 1e-4
+
+
+def test_pixel_encoder_dtype_cast_changes_no_number():
+    rng = make_rng(26)
+    enc = PixelEncoder(rng, image_size=12, d=3, z_dim=4, channels=(4, 5))
+    win32 = rng.uniform(0, 1, (6, 3, 12, 12)).astype(np.float32)
+    win64 = win32.astype(np.float64)  # float32 -> float64 is exact
+    assert enc._check(win32).dtype == np.float64
+    # the uncast path: float32 columns against float64 weights
+    raw32 = np.ascontiguousarray(win32.transpose(0, 2, 3, 1))
+    outs = [enc.values(win32), enc.values(win64), enc.run(EAGER, raw32)]
+    nodes = [enc.forward(win32), enc.forward(win64), enc.run(GRAPH, raw32)]
+    grads = [backward(apply("sum", [apply("square", [n])]), enc.params()) for n in nodes]
+    for out, node in zip(outs[1:], nodes[1:]):
+        assert out.dtype == node.dtype == np.float64
+        assert out.tobytes() == outs[0].tobytes()
+        assert node.values.tobytes() == nodes[0].values.tobytes()
+    assert all(g.tobytes() == g0.tobytes() for g, g0 in zip(grads[1], grads[0]))
+    # numpy's mixed-dtype matmul hands BLAS a C-ordered float64 copy of
+    # cols^T, the cast-once path a transposed view of float64 cols; for some
+    # shapes BLAS sums the two in a different order
+    for g, g0 in zip(grads[2], grads[0]):
+        assert np.allclose(g, g0, rtol=1e-12, atol=1e-15)
 
 
 def test_checkpoint_roundtrip(tmp_path):

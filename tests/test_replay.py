@@ -6,8 +6,8 @@ import pytest
 
 from laifo.envs import PointMass
 from laifo.replay import (DATASET_MAGIC, Episode, ExpertDataset,
-                          ExpertWindowSampler, ReplayBuffer, load_dataset,
-                          save_dataset)
+                          ExpertWindowSampler, ReplayBuffer, _decode, _encode,
+                          load_dataset, save_dataset)
 
 
 def _push_episode(buf, frames, done_last=True):
@@ -319,7 +319,27 @@ def test_pushed_rendered_frames_sample_back_bit_equal():
                           pushed[buf._window_indices((picks + 1) % buf.capacity, 3)])
 
 
-@pytest.mark.parametrize("value", [0.25, -0.5, 1.5, np.nan])
+@pytest.mark.parametrize("value,code", [(0.0, 0), (0.5, 1), (1.0, 2), (-0.0, None),
+                                        (np.nan, None), (np.inf, None), (-np.inf, None),
+                                        (0.25, None), (1.5, None), (-0.5, None)])
+def test_encode_accepts_bitwise_zero_half_and_one_only(value, code):
+    frames = np.full((3, 6, 8), 0.5, dtype=np.float32)
+    frames[1, 2, 3] = value
+    # contiguous, and strided through frames[1, 2, 3]
+    for view, at in ((frames, (1, 2, 3)), (frames[:, ::2, ::3], (1, 1, 1))):
+        codes = _encode(view)
+        if code is None:
+            assert codes is None
+            continue
+        assert codes.dtype == np.uint8 and codes.shape == view.shape
+        assert codes[at] == code
+        assert _decode(codes).tobytes() == np.ascontiguousarray(view).tobytes()
+    # float64 frames are never coded, whatever they hold
+    assert _encode(frames.astype(np.float64)) is None
+    assert _encode(np.zeros((3, 6, 8))) is None
+
+
+@pytest.mark.parametrize("value", [0.25, -0.5, 1.5, np.nan, -0.0, np.inf, -np.inf])
 def test_push_refuses_image_frames_without_a_code(value):
     buf = ReplayBuffer(8, (4, 4), (2,))
     bad = np.zeros((4, 4), dtype=np.float32)
@@ -334,7 +354,7 @@ def test_push_refuses_image_frames_without_a_code(value):
         buf.push(np.full((4, 4), 0.5), action=action, done=done)
 
 
-@pytest.mark.parametrize("stray", [None, 0.3])
+@pytest.mark.parametrize("stray", [None, 0.3, -0.0])
 def test_expert_sampler_keeps_float32_pixels_without_a_code(stray):
     rng = np.random.default_rng(60)
     eps = [Episode(_frames(rng, (n, 6, 6)), rng.standard_normal((n - 1, 2)).astype(np.float32),

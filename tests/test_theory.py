@@ -343,6 +343,27 @@ def test_verify_searches_the_pair_step_once(monkeypatch, claim):
     assert len(calls) == 1
 
 
+def test_verify_calls_policy_functions_after_the_search_in_order():
+    m = make_tabular("random", 4, 2, n_obs=3, seed=50)
+    scheme = LatentScheme(2)
+    n_windows = len(enumerate_reachable(m, scheme)[1])
+    seen = []
+
+    def draw(rng):
+        def policy(n):
+            seen.append(n)
+            return random_policy(n, 2, rng)
+        return policy
+
+    rng = np.random.default_rng(51)
+    got = verify("theorem1", m, scheme, draw(rng), draw(rng))
+    ref_rng = np.random.default_rng(51)
+    pol_t = random_policy(n_windows, 2, ref_rng)
+    pol_e = random_policy(n_windows, 2, ref_rng)
+    assert seen == [n_windows, n_windows]
+    assert got.to_dict() == verify("theorem1", m, scheme, pol_t, pol_e).to_dict()
+
+
 def test_verify_bound_terms_match_the_table_functions():
     m = make_tabular("random", 5, 3, n_obs=3, seed=47, gamma=0.9)
     scheme = LatentScheme(2)
