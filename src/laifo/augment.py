@@ -9,19 +9,7 @@ draws. Vector batches (B, d, n) pass through unchanged.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-logger = logging.getLogger(__name__)
-_warned_vector = False
-
-
-def _note_vector_identity():
-    global _warned_vector
-    if not _warned_vector:
-        logger.info("augmentation on vector observations is the identity")
-        _warned_vector = True
 
 
 def augment_pair(windows_t, windows_t1, pad, rng):
@@ -37,10 +25,7 @@ def random_shift_batch(windows, pad, rng):
     if pad < 0:
         raise ValueError("pad must be >= 0")
     windows = np.asarray(windows)
-    if windows.ndim < 4:
-        _note_vector_identity()
-        return windows
-    if pad == 0:
+    if windows.ndim < 4 or pad == 0:
         return windows
     b, d, h, w = windows.shape
     padded = np.pad(windows, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")

@@ -40,7 +40,9 @@ def train_expert(env, frames, cfg):
 
 
 def evaluate_expert(env, bundle, episodes, seed):
-    """Mean return of the deterministic state policy over fresh copies of env."""
+    """Mean return of the deterministic state policy over fresh copies of env.
+    Nothing in laifo calls it (`state-expert` evaluates through
+    `imitate.evaluate`); trainbench's tracer binds it by name."""
     return evaluate(env, WindowPolicy(bundle, 1), episodes, seed)
 
 

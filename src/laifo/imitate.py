@@ -172,17 +172,19 @@ class Adam:
 @dataclass
 class AgentBundle:
     """Encoder (the parameterless `nets.FlattenEncoder` for fully observable
-    learners), actor, twin critics, discriminator (None for behavioral
-    cloning), and their optimizers; the critic optimizer also steps the
-    encoder."""
+    learners), actor, twin critics, discriminator (a `nets.Mlp` over
+    (z, right) rows, right being z' or a as `pairing` says; None for
+    behavioral cloning), and their optimizers; the critic optimizer also
+    steps the encoder."""
 
     actor: nets.Actor
     critics: nets.TwinCritics
     enc: object
-    disc: nets.Discriminator = None
+    disc: nets.Mlp = None
     actor_opt: Adam = None
     critic_opt: Adam = None
     disc_opt: Adam = None
+    pairing: str = "transition"
 
     def named_params(self):
         parts = [self.actor, self.critics, self.enc]
@@ -212,13 +214,14 @@ def build_bundle(cfg, obs_shape, act_dim, pairing, rng, full_state=False,
     disc = None
     if with_disc:
         right = act_dim if pairing == "action" else z_dim
-        disc = nets.Discriminator(rng, z_dim, right, pairing=pairing,
-                                  hidden=cfg.hidden, dtype=dtype)
+        disc = nets.Mlp(rng, [z_dim + right, cfg.hidden, cfg.hidden, 1],
+                        name="disc", dtype=dtype)
     return AgentBundle(
         actor=actor, critics=critics, enc=enc, disc=disc,
         actor_opt=Adam(actor.params(), cfg.lr),
         critic_opt=Adam(critics.params() + enc.params(), cfg.lr),
         disc_opt=Adam(disc.params(), cfg.disc_lr) if disc is not None else None,
+        pairing=pairing,
     )
 
 
@@ -239,7 +242,7 @@ def gradient_penalty(disc, expert_pairs, agent_pairs, lam, rng):
     # observations) under a float64 learner
     u = rng.uniform(size=(len(expert_pairs), 1)).astype(disc.params()[0].dtype)
     interp = tensor(u * expert_pairs + (1.0 - u) * agent_pairs)
-    total = apply("sum", [disc.score(interp)])
+    total = apply("sum", [disc.forward(interp)])
     grad = input_gradient(total, interp)
     norms = apply("l2norm", [grad], axis=1)
     return lam * apply("mean", [apply("square", [norms - 1.0])])
@@ -252,8 +255,8 @@ def update_discriminator(bundle, expert_pairs, agent_pairs, cfg, rng):
     if len(expert_pairs) == 0 or len(agent_pairs) == 0:
         raise ValueError("empty batch")
     disc = bundle.disc
-    d_e = apply("sigmoid", [disc.score(np.asarray(expert_pairs))])
-    d_a = apply("sigmoid", [disc.score(np.asarray(agent_pairs))])
+    d_e = apply("sigmoid", [disc.forward(np.asarray(expert_pairs))])
+    d_a = apply("sigmoid", [disc.forward(np.asarray(agent_pairs))])
     main = -(apply("mean", [apply("log", [d_e])])
              + apply("mean", [apply("log", [1.0 - d_a])]))
     if cfg.penalty_weight > 0:
@@ -278,8 +281,9 @@ def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
     z_next = bundle.enc.values(nxt)
     actions = batch.actions.astype(z.dtype)
     if bundle.disc is not None:
-        right = actions if bundle.disc.pairing == "action" else z_next
-        r = cfg.imit_reward_scale * nets.discriminate(bundle.disc, z, right)
+        right = actions if bundle.pairing == "action" else z_next
+        pairs = np.concatenate([z, right], axis=1)
+        r = cfg.imit_reward_scale * nets.discriminate(bundle.disc, pairs)
     else:
         r = np.zeros(len(z))
     if use_env_reward:
@@ -477,7 +481,7 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
 
         if t > cfg.warmup:
             if bundle.disc is not None:
-                disc_loss, _ = _disc_step(bundle, buffer, sampler, cfg, pairing, rng)
+                disc_loss, _ = _disc_step(bundle, buffer, sampler, cfg, rng)
             batch = buffer.sample_stacked(cfg.batch, d, rng)
             critic_loss, imit_mean = update_critic(
                 bundle, batch, cfg, sigma_t, rng, use_env_reward)
@@ -498,16 +502,17 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     return report
 
 
-def _disc_step(bundle, buffer, sampler, cfg, pairing, rng):
+def _disc_step(bundle, buffer, sampler, cfg, rng):
+    with_actions = bundle.pairing == "action"
     agent = buffer.sample_stacked(cfg.batch, cfg.d, rng)
-    expert = sampler.sample(cfg.batch, rng, with_actions=pairing == "action")
+    expert = sampler.sample(cfg.batch, rng, with_actions)
 
     def pairs(batch):
         # (z, a) or (z, z') rows from independently augmented windows
         w_t, w_t1 = augment.augment_pair(batch.windows, batch.next_windows,
                                          cfg.pad, rng)
         z = bundle.enc.values(w_t)
-        right = (batch.actions.astype(z.dtype) if pairing == "action"
+        right = (batch.actions.astype(z.dtype) if with_actions
                  else bundle.enc.values(w_t1))
         return np.concatenate([z, right], axis=1)
 

@@ -1,5 +1,7 @@
 """The parameterized functions of the imitation game: feature extractors,
-actor, twin critics with slow targets, and discriminator.
+actor, and twin critics with slow targets. The discriminator is a plain
+`Mlp` over concatenated (z, right) rows; `imitate` decides whether the
+right input is the successor latent z' or the action a.
 
 Each network writes its forward pass once, as `run(E, ...)` on an
 autodiff executor: `autodiff.GRAPH` builds differentiable nodes (for
@@ -274,44 +276,10 @@ class TwinCritics:
         return self.q1.params() + self.q2.params()
 
 
-class Discriminator:
-    """Tells expert pairs from agent pairs. `pairing` fixes the second
-    input: the successor latent (transition mode) or the action."""
-
-    def __init__(self, rng, z_dim, right_dim, pairing="transition",
-                 hidden=256, dtype=np.float64):
-        if pairing not in ("transition", "action"):
-            raise ValueError(f"unknown pairing {pairing!r}")
-        self.pairing = pairing
-        self.z_dim = z_dim
-        self.right_dim = right_dim
-        self.mlp = Mlp(rng, [z_dim + right_dim, hidden, hidden, 1],
-                       activation="relu", name="disc", dtype=dtype)
-
-    def _check_right(self, right):
-        right = np.atleast_2d(np.asarray(right))
-        if right.shape[1] != self.right_dim:
-            raise ValueError(
-                f"discriminator in {self.pairing!r} mode expects right input of "
-                f"width {self.right_dim}, got {right.shape[1]}")
-        return right
-
-    def score(self, pairs):
-        """Pre-sigmoid logit node for already-concatenated (left, right)
-        rows; this is the function the gradient penalty differentiates."""
-        return self.mlp.forward(pairs)
-
-    def score_values(self, left, right):
-        x = np.concatenate([np.atleast_2d(left), self._check_right(right)], axis=1)
-        return self.mlp.values(x)[:, 0]
-
-    def params(self):
-        return self.mlp.params()
-
-
-def discriminate(disc, left, right):
-    """Probability the pair came from the expert; strictly inside (0, 1)."""
-    out = sigmoid_values(disc.score_values(left, right))
+def discriminate(disc, pairs):
+    """Probability that each concatenated (z, right) row of `pairs` came
+    from the expert, by the discriminator `Mlp`; strictly inside (0, 1)."""
+    out = sigmoid_values(disc.values(pairs)[:, 0])
     return np.clip(out, np.finfo(out.dtype).tiny, 1.0 - np.finfo(out.dtype).epsneg)
 
 

@@ -225,6 +225,8 @@ class ExpertDataset:
     def validate(self):
         for k, ep in enumerate(self.episodes):
             n = len(ep.observations)
+            if n == 0:
+                raise ValueError(f"episode {k}: no frames")
             if ep.observations.shape[1:] != tuple(self.obs_shape):
                 raise ValueError(f"episode {k}: observation shape mismatch")
             if ep.actions is not None and ep.actions.shape != (n - 1, *self.act_shape):
@@ -307,13 +309,15 @@ def load_dataset(path):
         obs_size = int(np.prod(obs_shape))
         act_size = int(np.prod(act_shape)) if act_shape else 1
         episodes = []
-        for _ in range(n_episodes):
+        for k in range(n_episodes):
             head = f.read(4)
             if len(head) != 4:
                 raise ValueError(
                     f"dataset header promises {n_episodes} episodes, "
-                    f"found only {len(episodes)}")
+                    f"found only {k}")
             (n,) = struct.unpack("<I", head)
+            if n == 0:
+                raise ValueError(f"dataset episode {k} declares no frames")
             obs = np.frombuffer(
                 _read_exact(f, 4 * n * obs_size, "dataset observations"), dtype="<f4"
             ).reshape(n, *obs_shape).copy()

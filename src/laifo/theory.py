@@ -378,10 +378,8 @@ def verify(claim, pomdp, scheme, policy_theta, policy_expert):
             hi = f_divergence(kind, tab_t.rho_za.reshape(-1), tab_e.rho_za.reshape(-1))
             extras[f"{kind}_state"] = lo
             extras[f"{kind}_latent"] = hi
-            if np.isfinite(hi):
+            if np.isfinite(hi):  # rhs infinite: holds trivially
                 slack = min(slack, hi - lo)
-            elif np.isfinite(lo):
-                pass  # rhs infinite: holds trivially
         lhs = extras["tv_state"]
         rhs = extras["tv_latent"]
         return BoundReport(claim, lhs, rhs, float(slack), 0.0, tv_zz, 0.0,

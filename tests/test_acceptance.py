@@ -70,8 +70,8 @@ def test_criterion_1_gradient_correctness():
         a_pairs = np.concatenate([z, z_next], axis=1)
 
         def disc_loss(_):
-            d_e = apply("sigmoid", [bundle.disc.score(e_pairs)])
-            d_a = apply("sigmoid", [bundle.disc.score(a_pairs)])
+            d_e = apply("sigmoid", [bundle.disc.forward(e_pairs)])
+            d_a = apply("sigmoid", [bundle.disc.forward(a_pairs)])
             main = -(apply("mean", [apply("log", [d_e])])
                      + apply("mean", [apply("log", [1.0 - d_a])]))
             return main + gradient_penalty(bundle.disc, e_pairs, a_pairs,

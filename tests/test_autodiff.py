@@ -175,19 +175,33 @@ def test_kind_gradients_match_finite_differences(kind):
         assert finite_diff_check(build, params, eps=1e-5) < 1e-4
 
 
+# (x, W shape, f(x, W)) for the double-backward check below. Through
+# concat, df/dx is a slice of the upstream gradient (its VJP is
+# scatter_slice); through im2col it is a col2im (its VJP is im2col).
+_DOUBLE_BACKWARD_CASES = {
+    "matmul": (np.array([[0.7, -0.2, 1.1]]), (3, 3),
+               lambda x, w: apply("matmul", [x, w])),
+    "concat": (np.array([[0.7, -0.2, 1.1]]), (6, 2), lambda x, w: apply(
+        "matmul", [apply("concat", [apply("tanh", [x]), x], axis=1), w])),
+    "im2col": (np.linspace(-1.0, 1.0, 50).reshape(1, 5, 5, 2), (18, 2),
+               lambda x, w: apply("tanh", [apply("matmul", [
+                   apply("im2col", [x], kh=3, kw=3, stride=2), w])])),
+}
+
+
 def test_double_backprop_matches_finite_differences():
-    # f(x) = 0.5 ||W x||^2; check d/dW of ||df/dx||^2 against central diffs.
+    # f(x) = 0.5 ||y(x, W)||^2; check d/dW of ||df/dx||^2 against central diffs.
     rng = np.random.default_rng(7)
-    w = tensor(rng.standard_normal((3, 3)))
+    for name, (x0, w_shape, build) in _DOUBLE_BACKWARD_CASES.items():
+        w = tensor(rng.standard_normal(w_shape))
 
-    def penalty(ps):
-        x = tensor(np.array([[0.7, -0.2, 1.1]]))
-        y = apply("matmul", [x, ps[0]])
-        f = apply("sum", [apply("square", [y])]) * 0.5
-        g = input_gradient(f, x)
-        return apply("sum", [apply("square", [g])])
+        def penalty(ps):
+            x = tensor(x0)
+            f = apply("sum", [apply("square", [build(x, ps[0])])]) * 0.5
+            g = input_gradient(f, x)
+            return apply("sum", [apply("square", [g])])
 
-    assert finite_diff_check(penalty, [w], eps=1e-5) < 1e-4
+        assert finite_diff_check(penalty, [w], eps=1e-5) < 1e-4, name
 
 
 def test_forward_and_gradients_deterministic():

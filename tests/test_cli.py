@@ -186,6 +186,38 @@ def test_cli_bc_writes_run_dir(tmp_path):
     assert len((run_dir / "metrics.csv").read_text().splitlines()) == 3
 
 
+def test_cli_rl_plus_videos_baseline_writes_run_dir(tmp_path):
+    data_path = tmp_path / "E.laifo"
+    _tiny_dataset(data_path)
+    run_dir = tmp_path / "rlv"
+    code = run(["rl-plus-videos", "--env", "pointmass-v",
+                "--expert-data", str(data_path), "--out-dir", str(run_dir),
+                "--imit-scale", "0", "--frames", "30", "--batch", "4",
+                "--set", "hidden=8", "--set", "z_dim=4", "--set", "warmup=10",
+                "--set", "eval_interval=30", "--set", "eval_episodes=1"])
+    assert code == 0
+    for name in ("metrics.csv", "final.ckpt", "config.txt", "meta.json"):
+        assert (run_dir / name).exists(), name
+    assert "imit_reward_scale=0.0\n" in (run_dir / "config.txt").read_text()
+    assert json.loads((run_dir / "meta.json").read_text())["algo"] == "rl_plus_videos"
+
+
+def test_cli_zero_frame_dataset_exits_1(tmp_path, capsys):
+    from laifo.replay import DATASET_MAGIC
+    data_path = tmp_path / "empty.laifo"
+    header = json.dumps({"env": "pointmass-v", "obs_shape": [2], "act_shape": [2],
+                         "episodes": 1, "dtype": "f32le", "has_actions": True,
+                         "has_rewards": True}).encode()
+    data_path.write_bytes(DATASET_MAGIC + struct.pack("<I", len(header))
+                          + header + struct.pack("<I", 0))
+    code = run(["imitate", "--algo", "laifo", "--env", "pointmass-v",
+                "--expert-data", str(data_path), "--out-dir", str(tmp_path / "x"),
+                "--frames", "50"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: dataset episode 0 declares no frames\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_cli_bc_without_steps_exits_1(tmp_path, capsys, steps):
     data_path = tmp_path / "E.laifo"
@@ -268,10 +300,11 @@ def test_cli_tabular_env_exits_2(tmp_path, capsys):
     save_dataset(ExpertDataset("pointmass-v", (2,), (2,), [
         Episode(obs, np.zeros((2, 2), dtype=np.float32),
                 np.zeros(2, dtype=np.float32))]), data_path)
-    for algo in ("rl_plus_videos", "bc"):
-        code = run(["imitate", "--algo", algo, "--env", "tabular:mdp-s4-a2",
-                    "--expert-data", str(data_path), "--out-dir",
-                    str(tmp_path / "x"), "--frames", "50"])
+    for command in (["imitate", "--algo", "rl_plus_videos"], ["imitate", "--algo", "bc"],
+                    ["rl-plus-videos"]):
+        code = run(command + ["--env", "tabular:mdp-s4-a2",
+                              "--expert-data", str(data_path), "--out-dir",
+                              str(tmp_path / "x"), "--frames", "50"])
         assert code == 2
         assert "tabular:mdp-s4-a2" in capsys.readouterr().err
 

@@ -53,19 +53,27 @@ def test_sigma_schedule_linear():
     assert sigma_schedule(cfg, 50) == pytest.approx(0.55)
 
 
+def test_build_bundle_pairs_the_discriminator():
+    cfg = small_cfg()
+    for pairing, right in (("transition", cfg.z_dim), ("action", 2)):
+        bundle = _bundle(cfg, pairing=pairing)
+        assert bundle.pairing == pairing
+        assert bundle.disc.weights[0].shape == (cfg.z_dim + right, cfg.hidden)
+
+
 def test_gradient_penalty_linear_unit_norm_is_zero():
     cfg = small_cfg()
     rng = np.random.default_rng(0)
-    disc = nets.Discriminator(rng, z_dim=3, right_dim=3, hidden=4)
+    disc = nets.Mlp(rng, [6, 4, 4, 1], name="disc")
     # collapse to an exactly linear score with unit-norm input weight
     w = np.zeros((6, 4))
     w[:, 0] = 1.0 / np.sqrt(6.0)
-    disc.mlp.weights[0].values = w
-    disc.mlp.biases[0].values = np.array([10.0, -1.0, -1.0, -1.0])  # keep relu active
-    disc.mlp.weights[1].values = np.eye(4)
-    disc.mlp.biases[1].values = np.zeros(4)
-    disc.mlp.weights[2].values = np.array([[1.0], [0.0], [0.0], [0.0]])
-    disc.mlp.biases[2].values = np.zeros(1)
+    disc.weights[0].values = w
+    disc.biases[0].values = np.array([10.0, -1.0, -1.0, -1.0])  # keep relu active
+    disc.weights[1].values = np.eye(4)
+    disc.biases[1].values = np.zeros(4)
+    disc.weights[2].values = np.array([[1.0], [0.0], [0.0], [0.0]])
+    disc.biases[2].values = np.zeros(1)
     pairs = np.abs(np.random.default_rng(1).normal(0.1, 0.05, (5, 6)))
     pen = gradient_penalty(disc, pairs, pairs * 0.5, lam=7.0, rng=rng)
     assert pen.values.item() == pytest.approx(0.0, abs=1e-8)
@@ -73,7 +81,7 @@ def test_gradient_penalty_linear_unit_norm_is_zero():
 
 def test_gradient_penalty_constant_scores_lambda():
     rng = np.random.default_rng(2)
-    disc = nets.Discriminator(rng, z_dim=3, right_dim=3, hidden=4)
+    disc = nets.Mlp(rng, [6, 4, 4, 1], name="disc")
     for p in disc.params():
         p.values[...] = 0.0  # constant zero score
     pen = gradient_penalty(disc, rng.normal(size=(6, 6)), rng.normal(size=(6, 6)),
@@ -84,7 +92,7 @@ def test_gradient_penalty_constant_scores_lambda():
 
 def test_gradient_penalty_matches_finite_difference_norms():
     rng = np.random.default_rng(3)
-    disc = nets.Discriminator(rng, z_dim=3, right_dim=3, hidden=8)
+    disc = nets.Mlp(rng, [6, 8, 8, 1], name="disc")
     expert = rng.normal(size=(4, 6))
     agent = rng.normal(size=(4, 6))
     lam = 10.0
@@ -100,7 +108,7 @@ def test_gradient_penalty_matches_finite_difference_norms():
         for i in range(6):
             hi = row.copy(); hi[i] += eps
             lo = row.copy(); lo[i] -= eps
-            g[i] = (disc.mlp.values(hi[None])[0, 0] - disc.mlp.values(lo[None])[0, 0]) / (2 * eps)
+            g[i] = (disc.values(hi[None])[0, 0] - disc.values(lo[None])[0, 0]) / (2 * eps)
         norms.append(np.linalg.norm(g))
     expected = lam * np.mean((np.array(norms) - 1.0) ** 2)
     assert pen.values.item() == pytest.approx(expected, abs=1e-3)
@@ -116,8 +124,8 @@ def test_gradient_penalty_float64_learner_keeps_float32_pairs_exact():
     bundles = [_bundle(cfg, pairing="action", encoder=False, obs=(4,), seed=14)
                for _ in range(2)]
     seen = []
-    score = bundles[0].disc.score
-    bundles[0].disc.score = lambda x: seen.append(x.values) or score(x)
+    forward = bundles[0].disc.forward
+    bundles[0].disc.forward = lambda x: seen.append(x.values) or forward(x)
     pen32 = gradient_penalty(bundles[0].disc, expert, agent, 10.0,
                              np.random.default_rng(15))
     pen64 = gradient_penalty(bundles[1].disc, expert.astype(np.float64),
@@ -127,7 +135,7 @@ def test_gradient_penalty_float64_learner_keeps_float32_pairs_exact():
     assert seen[0].dtype == np.float64
     assert np.array_equal(seen[0], u * expert + (1.0 - u) * agent)
     assert pen32.values.item() == pen64.values.item()
-    del bundles[0].disc.score
+    del bundles[0].disc.forward
     for b, pairs in zip(bundles, ((expert, agent), (expert.astype(np.float64),
                                                     agent.astype(np.float64)))):
         update_discriminator(b, *pairs, cfg, np.random.default_rng(16))
@@ -138,7 +146,7 @@ def test_gradient_penalty_float64_learner_keeps_float32_pairs_exact():
 
 def test_gradient_penalty_length_mismatch():
     rng = np.random.default_rng(4)
-    disc = nets.Discriminator(rng, z_dim=2, right_dim=2, hidden=4)
+    disc = nets.Mlp(rng, [4, 4, 4, 1], name="disc")
     with pytest.raises(ValueError, match="pair sets"):
         gradient_penalty(disc, np.zeros((3, 4)), np.zeros((2, 4)), 1.0, rng)
 
@@ -150,7 +158,7 @@ def test_update_discriminator_converges_to_half_on_identical_batches():
     pairs = rng.normal(size=(8, 12))
     for _ in range(2000):
         update_discriminator(bundle, pairs, pairs, cfg, rng)
-    p = nets.discriminate(bundle.disc, pairs[:, :6], pairs[:, 6:])
+    p = nets.discriminate(bundle.disc, pairs)
     assert np.mean(np.abs(p - 0.5)) < 0.05
 
 
@@ -168,8 +176,8 @@ def test_update_discriminator_separates_clouds_and_penalty_tames_gradients():
         return bundle
 
     b_plain = run(0.0)
-    p_e = nets.discriminate(b_plain.disc, expert[:, :6], expert[:, 6:])
-    p_a = nets.discriminate(b_plain.disc, agent[:, :6], agent[:, 6:])
+    p_e = nets.discriminate(b_plain.disc, expert)
+    p_a = nets.discriminate(b_plain.disc, agent)
     assert p_e.mean() > p_a.mean()  # expert pairs scored higher
 
     b_pen = run(10.0)
@@ -221,7 +229,7 @@ def test_update_critic_gamma_zero_targets_reward_only():
     batch = _toy_batch(rng, cfg)
     z = bundle.enc.values(batch.windows)
     z_next = bundle.enc.values(batch.next_windows)
-    r = nets.discriminate(bundle.disc, z, z_next)
+    r = nets.discriminate(bundle.disc, np.concatenate([z, z_next], axis=1))
     # critics have zero-initialized heads, so loss = mean(r^2) * 2 exactly
     loss, imit_mean = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng)
     assert loss == pytest.approx(2 * np.mean(r ** 2), rel=1e-12)
@@ -242,7 +250,7 @@ def test_update_critic_matches_hand_computed_loss():
 
     z = bundle.enc.values(batch.windows)
     z_next = bundle.enc.values(batch.next_windows)
-    r = nets.discriminate(bundle.disc, z, z_next)
+    r = nets.discriminate(bundle.disc, np.concatenate([z, z_next], axis=1))
     rng_clone = np.random.default_rng(18)
     a_next = nets.act(bundle.actor, z_next, 0.1, cfg.clip_c, rng_clone)
     q1t, q2t = bundle.critics.values(z_next, a_next, use_target=True)
@@ -349,8 +357,8 @@ def test_losses_pass_finite_difference_checks():
     agent_pairs = np.concatenate([z, z_next], axis=1)
 
     def disc_loss(_):
-        d_e = apply("sigmoid", [bundle.disc.score(expert_pairs)])
-        d_a = apply("sigmoid", [bundle.disc.score(agent_pairs)])
+        d_e = apply("sigmoid", [bundle.disc.forward(expert_pairs)])
+        d_a = apply("sigmoid", [bundle.disc.forward(agent_pairs)])
         main = -(apply("mean", [apply("log", [d_e])])
                  + apply("mean", [apply("log", [1.0 - d_a])]))
         return main + gradient_penalty(bundle.disc, expert_pairs, agent_pairs,
@@ -461,7 +469,7 @@ def test_imitation_reward_bounds_and_target_bound():
     rng = np.random.default_rng(33)
     z = rng.standard_normal((100, cfg.z_dim))
     zn = rng.standard_normal((100, cfg.z_dim))
-    r = nets.discriminate(bundle.disc, z, zn)
+    r = nets.discriminate(bundle.disc, np.concatenate([z, zn], axis=1))
     assert np.all((r > 0) & (r < 1))
     # discounted imitation return is bounded by 1/(1-gamma)
     assert r.max() / (1 - 0.99) <= 100.0 + 1e-9
@@ -474,7 +482,7 @@ def test_rl_plus_videos_uses_env_reward():
     batch = _toy_batch(rng, cfg)
     z = bundle.enc.values(batch.windows)
     z_next = bundle.enc.values(batch.next_windows)
-    r_imit = nets.discriminate(bundle.disc, z, z_next)
+    r_imit = nets.discriminate(bundle.disc, np.concatenate([z, z_next], axis=1))
     loss, _ = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng,
                             use_env_reward=True)
     y = r_imit + batch.rewards

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from laifo import nets
-from laifo.autodiff import EAGER, GRAPH, apply, backward, finite_diff_check, tensor
-from laifo.nets import (CKPT_MAGIC, Actor, Discriminator, PixelEncoder,
-                        TwinCritics, VectorEncoder, act, discriminate,
-                        load_checkpoint, save_checkpoint)
+from laifo.autodiff import (EAGER, GRAPH, ShapeMismatchError, apply, backward,
+                            finite_diff_check, tensor)
+from laifo.nets import (CKPT_MAGIC, Actor, Mlp, PixelEncoder, TwinCritics,
+                        VectorEncoder, act, discriminate, load_checkpoint,
+                        save_checkpoint)
 
 
 def make_rng(seed=0):
@@ -123,26 +124,29 @@ def test_soft_update_exact_affine():
 
 
 def test_discriminator_zero_score_gives_half():
-    disc = Discriminator(make_rng(19), z_dim=3, right_dim=3, hidden=8)
+    disc = Mlp(make_rng(19), [6, 8, 8, 1], name="disc")
     for p in disc.params():
         p.values[...] = 0.0
-    p = discriminate(disc, np.zeros((1, 3)), np.zeros((1, 3)))
+    p = discriminate(disc, np.zeros((1, 6)))
     assert np.allclose(p, 0.5)
 
 
 def test_discriminator_open_interval_over_random_inputs():
-    disc = Discriminator(make_rng(20), z_dim=4, right_dim=4, hidden=8)
+    disc = Mlp(make_rng(20), [8, 8, 8, 1], name="disc")
     rng = make_rng(21)
     left = rng.standard_normal((10_000, 4)) * 50
     right = rng.standard_normal((10_000, 4)) * 50
-    p = discriminate(disc, left, right)
+    p = discriminate(disc, np.concatenate([left, right], axis=1))
     assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
 def test_discriminator_pairing_width_checked():
-    disc = Discriminator(make_rng(22), z_dim=4, right_dim=2, pairing="action", hidden=8)
-    with pytest.raises(ValueError, match="action"):
-        disc.score_values(np.zeros((1, 4)), np.zeros((1, 4)))
+    # a (z, a) discriminator fed (z, z') rows: the first layer refuses them
+    disc = Mlp(make_rng(22), [6, 8, 8, 1], name="disc")
+    with pytest.raises(ValueError):
+        disc.values(np.zeros((1, 8)))
+    with pytest.raises(ShapeMismatchError, match="affine"):
+        disc.forward(np.zeros((1, 8)))
 
 
 def test_network_gradients_match_finite_differences():
@@ -206,10 +210,9 @@ def _forward_case(name, dtype):
         return (params,
                 lambda: apply("concat", list(net.run(GRAPH, z, a, target)), axis=1),
                 lambda: np.stack(net.values(z, a, use_target=target), axis=1))
-    net = Discriminator(rng, z_dim=4, right_dim=2, pairing="action", hidden=8, dtype=dtype)
+    net = Mlp(rng, [6, 8, 8, 1], name="disc", dtype=dtype)
     pairs = np.concatenate([z, a], axis=1)
-    return (net.params(), lambda: net.score(pairs),
-            lambda: net.score_values(z, a)[:, None])
+    return net.params(), lambda: net.forward(pairs), lambda: net.values(pairs)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])

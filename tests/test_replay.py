@@ -188,6 +188,39 @@ def test_dataset_header_missing_keys(tmp_path):
             load_dataset(bad)
 
 
+def _write_zero_frame_dataset(path, has_a, has_r):
+    """A LAIFO1 file whose second episode declares 0 frames."""
+    rng = np.random.default_rng(8)
+    text = json.dumps({"env": "pointmass-v", "obs_shape": [2], "act_shape": [2],
+                       "episodes": 2, "dtype": "f32le", "has_actions": has_a,
+                       "has_rewards": has_r}).encode()
+    body = struct.pack("<I", 3) + rng.standard_normal((3, 2)).astype("<f4").tobytes()
+    if has_a:
+        body += rng.standard_normal((2, 2)).astype("<f4").tobytes()
+    if has_r:
+        body += rng.standard_normal(2).astype("<f4").tobytes()
+    path.write_bytes(DATASET_MAGIC + struct.pack("<I", len(text)) + text
+                     + body + struct.pack("<I", 0))
+
+
+@pytest.mark.parametrize("has_a, has_r", [(True, True), (True, False),
+                                          (False, True), (False, False)])
+def test_zero_frame_episode_refused(tmp_path, has_a, has_r):
+    path = tmp_path / "empty.laifo"
+    _write_zero_frame_dataset(path, has_a, has_r)
+    with pytest.raises(ValueError, match="dataset episode 1 declares no frames"):
+        load_dataset(path)
+    ds = ExpertDataset("pointmass-v", (2,), (2,), [
+        _toy_dataset().episodes[0],
+        Episode(np.zeros((0, 2), dtype=np.float32),
+                np.zeros((0, 2), dtype=np.float32) if has_a else None,
+                np.zeros(0, dtype=np.float32) if has_r else None)])
+    out = tmp_path / "saved.laifo"
+    with pytest.raises(ValueError, match="episode 1: no frames"):
+        save_dataset(ds, out)
+    assert not out.exists()
+
+
 def test_dataset_without_actions_flagged(tmp_path):
     ds = _toy_dataset(with_actions=False)
     path = tmp_path / "noact.laifo"
