@@ -6,8 +6,10 @@ products on a path from the root to one of those leaves are computed.
 The backward pass can also be recorded as graph operations, so the
 gradient of a scalar with respect to an input (`input_gradient`) is itself
 a differentiable node (needed to train a discriminator whose loss contains
-the norm of its own input gradient). Tapes are rebuilt per step; recorded
-values are never mutated in place.
+the norm of its own input gradient), unless it passed through `concat` or
+`im2col`: the VJPs of their adjoints, `slice` and `col2im`, raise
+NotImplementedError. Tapes are rebuilt per step; recorded values are never
+mutated in place.
 
 A convolution is `im2col` followed by `affine`. `im2col` gathers each
 output pixel's kh x kw patch into one row with a single strided copy of
@@ -23,11 +25,10 @@ NORM_OFFSET = 1e-12  # inside the sqrt of l2norm, keeps its gradient finite at 0
 
 PUBLIC_KINDS = frozenset({
     "add", "mul", "div", "matmul", "affine", "tanh", "relu", "sigmoid", "log",
-    "square", "sum", "mean", "concat", "clip", "l2norm", "reshape", "im2col",
+    "square", "sum", "mean", "concat", "l2norm", "reshape", "im2col",
 })
 # attributes a public kind cannot run without
-_REQUIRED_ATTRS = {"clip": ("lo", "hi"), "reshape": ("shape",),
-                   "im2col": ("kh", "kw", "stride")}
+_REQUIRED_ATTRS = {"reshape": ("shape",), "im2col": ("kh", "kw", "stride")}
 
 
 class ShapeMismatchError(ValueError):
@@ -93,12 +94,6 @@ class TensorNode:
 
     def __rsub__(self, other):
         return _as_node(other, self) + (-self)
-
-    def __truediv__(self, other):
-        return apply("div", [self, _as_node(other, self)])
-
-    def __matmul__(self, other):
-        return apply("matmul", [self, _as_node(other)])
 
 
 def tensor(values, name=None, dtype=None):
@@ -413,16 +408,6 @@ def _vjp_concat(E, g, inputs, out, i):
     return E.op("slice", g, key=key)
 
 
-def _fw_clip(attrs, x):
-    return np.clip(x, attrs["lo"], attrs["hi"])
-
-
-def _vjp_clip(E, g, inputs, out, i):
-    x = inputs[0]
-    mask = ((x.values > out.attrs["lo"]) & (x.values < out.attrs["hi"]))
-    return E.mul(g, mask.astype(x.dtype))
-
-
 def _fw_l2norm(attrs, x):
     return np.sqrt(np.add.reduce(x * x, axis=attrs.get("axis"),
                                  keepdims=attrs.get("keepdims", False)) + NORM_OFFSET)
@@ -468,20 +453,6 @@ def _fw_slice(attrs, x):
     return x[attrs["key"]]
 
 
-def _vjp_slice(E, g, inputs, out, i):
-    return E.op("scatter_slice", g, shape=inputs[0].shape, key=out.attrs["key"])
-
-
-def _fw_scatter_slice(attrs, x):
-    out = np.zeros(attrs["shape"], dtype=x.dtype)
-    out[attrs["key"]] = x
-    return out
-
-
-def _vjp_scatter_slice(E, g, inputs, out, i):
-    return E.op("slice", g, key=out.attrs["key"])
-
-
 def _fw_im2col(attrs, x):
     return _im2col_values(x, attrs["kh"], attrs["kw"], attrs["stride"])
 
@@ -494,9 +465,9 @@ def _fw_col2im(attrs, x):
     return _col2im_values(x, attrs["x_shape"], attrs["kh"], attrs["kw"], attrs["stride"])
 
 
-def _vjp_col2im(E, g, inputs, out, i):
-    a = out.attrs
-    return E.op("im2col", g, kh=a["kh"], kw=a["kw"], stride=a["stride"])
+def _vjp_second_order(E, g, inputs, out, i):
+    # slice and col2im nodes exist only inside a recorded gradient
+    raise NotImplementedError(f"second-order gradients through {out.op} are not supported")
 
 
 _OPS = {
@@ -513,15 +484,13 @@ _OPS = {
     "sum": (_fw_sum, _vjp_sum),
     "mean": (_fw_mean, _vjp_mean),
     "concat": (_fw_concat, _vjp_concat),
-    "clip": (_fw_clip, _vjp_clip),
     "l2norm": (_fw_l2norm, _vjp_l2norm),
     "minimum": (_fw_minimum, _vjp_minimum),
     "transpose": (_fw_transpose, _vjp_transpose),
     "reshape": (_fw_reshape, _vjp_reshape),
-    "slice": (_fw_slice, _vjp_slice),
-    "scatter_slice": (_fw_scatter_slice, _vjp_scatter_slice),
+    "slice": (_fw_slice, _vjp_second_order),
     "im2col": (_fw_im2col, _vjp_im2col),
-    "col2im": (_fw_col2im, _vjp_col2im),
+    "col2im": (_fw_col2im, _vjp_second_order),
 }
 
 _BINARY_ELEMWISE = frozenset({"add", "mul", "div", "minimum"})

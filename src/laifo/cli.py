@@ -98,16 +98,18 @@ def _build_config(args):
     return load_config(args.config, overrides)
 
 
-def _rebuild_state_actor(ckpt_path):
-    """Actor for privileged-state policies, reconstructed from checkpoint
-    manifest shapes alone."""
+def _rebuild_state_actor(ckpt_path, env):
+    """The checkpoint's actor, which must map `env`'s privileged state to
+    its actions; only its hidden width is read from the checkpoint."""
     loaded = nets.load_checkpoint(ckpt_path)
-    layers = sorted(n for n in loaded if n.startswith("actor.l") and n.endswith(".W"))
-    if not layers:
-        raise ValueError(f"{ckpt_path}: no actor parameters in checkpoint")
-    sizes = [loaded[layers[0]].shape[0]] + [loaded[n].shape[1] for n in layers]
-    actor = nets.Actor(np.random.default_rng(0), sizes[0], sizes[-1],
-                       hidden=sizes[1])
+    first = loaded.get("actor.l0.W")
+    if first is None or first.ndim != 2:
+        raise ValueError(f"{ckpt_path}: no actor weight matrix in checkpoint")
+    if any(n.startswith("enc.") for n in loaded):
+        raise ValueError(f"{ckpt_path}: the checkpoint has encoder parameters, so its "
+                         f"actor acts on latents, not on the state")
+    actor = nets.Actor(np.random.default_rng(0), env.state_dim, env.act_dim,
+                       hidden=first.shape[1])
     nets.load_into([actor], loaded)
     return actor
 
@@ -127,13 +129,13 @@ def cmd_train_expert(args):
 
 
 def cmd_record(args):
-    actor = _rebuild_state_actor(args.ckpt)
+    env = make_env(args.env, seed=args.seed, reward_mode=args.reward_mode)
+    actor = _rebuild_state_actor(args.ckpt, env)
 
     class _Policy:
         def action(self, state):
             return actor.values(np.atleast_2d(state))[0]
 
-    env = make_env(args.env, seed=args.seed, reward_mode=args.reward_mode)
     if args.privileged:
         env = FullyObservableWrapper(env)
     ds = expertgen.record(env, _Policy(), args.episodes,

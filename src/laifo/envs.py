@@ -290,22 +290,6 @@ def make_tabular(structure, n_states, n_actions, n_obs=None, seed=0, gamma=0.9):
     )
 
 
-def parse_tabular_id(env_id):
-    """Parse ids like 'tabular:mdp-s8-a3' or 'tabular:random-s8-a3-x5'."""
-    body = env_id.split(":", 1)[1]
-    parts = body.split("-")
-    structure = parts[0] if parts[0] != "injective" else "injective-deterministic"
-    if structure == "injective-deterministic" and parts[1] == "deterministic":
-        parts = [parts[0]] + parts[2:]
-    sizes = {"s": None, "a": None, "x": None}
-    for p in parts[1:]:
-        if p and p[0] in sizes:
-            sizes[p[0]] = int(p[1:])
-    if sizes["s"] is None or sizes["a"] is None:
-        raise ValueError(f"tabular id needs -s<N> and -a<N>: {env_id!r}")
-    return structure, sizes["s"], sizes["a"], sizes["x"]
-
-
 _POINTMASS_VIEWS = {"pointmass-v": ("vector", 32), "pointmass-px32": ("pixel", 32),
                     "pointmass-px84": ("pixel", 84)}
 
@@ -323,9 +307,6 @@ def make_env(env_id, seed=0, reward_mode="dense"):
                         reward_mode=reward_mode)
     elif env_id == "pendulum-po":
         env = PendulumPO(seed=seed, reward_mode=reward_mode)
-    elif env_id.startswith("tabular:"):
-        structure, s, a, x = parse_tabular_id(env_id)
-        env = make_tabular(structure, s, a, x, seed=seed)
     else:
         raise ValueError(f"unknown environment id {env_id!r}")
     env.env_id = env_id

@@ -146,11 +146,11 @@ class TrainReport:
 class Adam:
     """Adaptive-moment optimizer with the standard constants."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
         self.t = 0
@@ -383,10 +383,6 @@ def _check_capabilities(algo, env, expert_data):
         raise CapabilityError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
     if not hasattr(env, "env_id"):
         raise ValueError("train on environments built by envs.make_env")
-    if env.env_id.startswith("tabular:"):
-        raise CapabilityError(
-            f"{env.env_id} is an exact model for verify-theory and cannot be "
-            f"stepped; train on one of the control environments")
     if algo in _FULL_STATE_ALGOS and not isinstance(env, FullyObservableWrapper):
         env = FullyObservableWrapper(env)
     if algo in _ACTION_ALGOS:

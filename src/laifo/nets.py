@@ -302,11 +302,11 @@ def load_checkpoint(path):
     after its last array, raises ValueError."""
     with open(path, "rb") as f:
         (entries,) = _read_header(f, CKPT_MAGIC, "checkpoint", "checkpoint manifest",
-                                  ("params",))
+                                  {"params": list})
         out = {}
         for entry in entries:
-            name, shape = _require(entry, ("name", "shape"), "checkpoint manifest entry")
-            shape = tuple(shape)
+            name, shape = _require(entry, {"name": str, "shape": tuple},
+                                   "checkpoint manifest entry")
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(f, count * 8, f"checkpoint array {name}")
             out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
@@ -331,5 +331,5 @@ def load_into(nets_list, loaded):
             arr = loaded[p.name]
             if arr.shape != p.shape:
                 raise ValueError(
-                    f"checkpoint shape mismatch for {p.name}: {arr.shape} vs {p.shape}")
+                    f"checkpoint {p.name} has shape {arr.shape}, expected {p.shape}")
             p.values = arr.astype(p.values.dtype)

@@ -12,9 +12,9 @@ the same code as the agent's buffer.
 Image frames (two or more axes) are stored as the uint8 codes 2·x, a
 quarter of their float32 size. The renderer emits only 0, 0.5 and 1, so
 the codes are lossless and a sampled window is bit-equal to the float32
-frames pushed. A pushed image frame holding any other value, -0.0
-included, is refused; an expert dataset holding one keeps a float32
-ring. Vector frames are stored as float32.
+frames pushed. An image frame holding any other value, -0.0 included,
+is refused, whether pushed or in an expert dataset. Vector frames are
+stored as float32.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class StackedBatch:
 class ReplayBuffer:
     """Ring of the last `capacity` frames with the action and reward of the
     transition into each. Image frames are kept as the uint8 codes 2·x and
-    must hold only 0, 0.5 and 1; vector frames are kept as float32, and so
-    are the frames of an expert dataset whose pixels have no code."""
+    must hold only 0, 0.5 and 1; vector frames are kept as float32."""
 
     def __init__(self, capacity, obs_shape, act_shape):
         if capacity < 2:
@@ -292,20 +291,29 @@ def _read_exact(f, n, what):
 
 
 def _require(header, keys, what):
-    """The values of `keys` in a decoded JSON header; a ValueError names the
-    first key it lacks."""
-    missing = [k for k in keys if not isinstance(header, dict) or k not in header]
-    if missing:
-        raise ValueError(f"{what} has no {missing[0]!r} entry")
-    return [header[k] for k in keys]
+    """The values of `keys` in a decoded JSON header, each of the type `keys`
+    maps it to (`tuple`: a shape, from a list of ints; a bool is no int). A
+    ValueError names the first key the header lacks or has of another type."""
+    out = []
+    for key, kind in keys.items():
+        if not isinstance(header, dict) or key not in header:
+            raise ValueError(f"{what} has no {key!r} entry")
+        value = header[key]
+        if kind is tuple and type(value) is list and all(type(n) is int for n in value):
+            value = tuple(value)
+        if type(value) is not kind:
+            wanted = "a list of ints" if kind is tuple else kind.__name__
+            raise ValueError(f"{what} entry {key!r} must be {wanted}, got {value!r}")
+        out.append(value)
+    return out
 
 
 def load_dataset(path):
     with open(path, "rb") as f:
         env_id, obs_shape, act_shape, n_episodes, has_a, has_r = _read_header(
             f, DATASET_MAGIC, "dataset", "dataset header",
-            ("env", "obs_shape", "act_shape", "episodes", "has_actions", "has_rewards"))
-        obs_shape, act_shape = tuple(obs_shape), tuple(act_shape)
+            {"env": str, "obs_shape": tuple, "act_shape": tuple, "episodes": int,
+             "has_actions": bool, "has_rewards": bool})
         obs_size = int(np.prod(obs_shape))
         act_size = int(np.prod(act_shape)) if act_shape else 1
         episodes = []
@@ -355,17 +363,15 @@ class ExpertWindowSampler:
         # next write wraps to slot 0) and the last frame ended an episode
         ring = ReplayBuffer(sum(len(ep) for ep in dataset.episodes),
                             dataset.obs_shape, dataset.act_shape)
-        frames = [ep.observations for ep in dataset.episodes]
-        if ring._obs.dtype == np.uint8:
-            codes = [_encode(obs) for obs in frames]
-            if all(c is not None for c in codes):
-                frames = codes
-            else:  # a LAIFO1 file may hold any float32 pixel: keep them all
-                ring._obs = np.zeros(ring._obs.shape, dtype=np.float32)
         start = 0
         for k, ep in enumerate(dataset.episodes):
             end = start + len(ep)
-            ring._obs[start:end] = frames[k]
+            frames = ep.observations
+            if ring._obs.dtype == np.uint8:
+                frames = _encode(frames)
+                if frames is None:  # a LAIFO1 file may hold any float32
+                    raise ValueError(f"episode {k}: image frames must hold only 0, 0.5 and 1")
+            ring._obs[start:end] = frames
             if ep.actions is not None:
                 ring._act[start + 1:end] = ep.actions
             if ep.rewards is not None:

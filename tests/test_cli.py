@@ -1,12 +1,15 @@
 import json
 import os
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from laifo import cli, nets
+from laifo import cli, imitate, nets
 from laifo.cli import aggregate_runs, load_config, run, verify_instances
+from laifo.envs import make_env
 from laifo.imitate import Config
 
 
@@ -293,7 +296,7 @@ def test_cli_lail_without_actions_exits_2(tmp_path, capsys):
     assert "expert actions required" in capsys.readouterr().err
 
 
-def test_cli_tabular_env_exits_2(tmp_path, capsys):
+def test_cli_tabular_env_id_exits_1(tmp_path, capsys):
     from laifo.replay import Episode, ExpertDataset, save_dataset
     data_path = tmp_path / "tiny.laifo"
     obs = np.zeros((3, 2), dtype=np.float32)
@@ -305,8 +308,8 @@ def test_cli_tabular_env_exits_2(tmp_path, capsys):
         code = run(command + ["--env", "tabular:mdp-s4-a2",
                               "--expert-data", str(data_path), "--out-dir",
                               str(tmp_path / "x"), "--frames", "50"])
-        assert code == 2
-        assert "tabular:mdp-s4-a2" in capsys.readouterr().err
+        assert code == 1
+        assert "unknown environment id 'tabular:mdp-s4-a2'" in capsys.readouterr().err
 
 
 def test_cli_dataset_action_shape_mismatch_exits_2(tmp_path, capsys):
@@ -369,6 +372,86 @@ def test_cli_record_manifest_without_params_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == \
         "error: checkpoint manifest has no 'params' entry\n"
+
+
+def test_cli_header_value_of_wrong_type_exits_1(tmp_path, capsys):
+    from laifo.replay import DATASET_MAGIC
+    data_path = tmp_path / "bad.laifo"
+    header = json.dumps({"env": "pointmass-v", "obs_shape": [2], "act_shape": [2],
+                         "episodes": "1", "dtype": "f32le", "has_actions": True,
+                         "has_rewards": True}).encode()
+    data_path.write_bytes(DATASET_MAGIC + struct.pack("<I", len(header)) + header)
+    code = run(["imitate", "--algo", "laifo", "--env", "pointmass-v",
+                "--expert-data", str(data_path), "--out-dir", str(tmp_path / "x"),
+                "--frames", "50"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: dataset header entry 'episodes' must be int, got '1'\n"
+    ckpt = tmp_path / "expert.ckpt"
+    ckpt.write_bytes(nets.CKPT_MAGIC + struct.pack("<I", 13) + b'{"params": 5}')
+    code = run(["record", "--env", "pointmass-v", "--ckpt", str(ckpt),
+                "--episodes", "1", "--out", str(tmp_path / "E.laifo")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: checkpoint manifest entry 'params' must be list, got 5\n"
+
+
+def _save_bundle(path, obs_shape, full_state, pairing="transition"):
+    """A checkpoint of freshly built networks (hidden 8, z_dim 4) acting on
+    2-wide actions."""
+    imitate.build_bundle(Config(hidden=8, z_dim=4), obs_shape, 2, pairing,
+                         np.random.default_rng(0), full_state=full_state).save(path)
+
+
+def test_cli_record_refuses_an_actor_that_does_not_act_on_the_state(tmp_path, capsys):
+    # a laifo learner's actor acts on 4-wide latents: as wide as the state
+    ckpt = tmp_path / "final.ckpt"
+    _save_bundle(ckpt, (2,), full_state=False)
+    out = tmp_path / "E.laifo"
+    code = run(["record", "--env", "pointmass-v", "--ckpt", str(ckpt),
+                "--episodes", "1", "--out", str(out)])
+    assert code == 1
+    assert "has encoder parameters" in capsys.readouterr().err
+    # a pointmass-v state actor on pendulum-po, whose state and action are narrower
+    expert = tmp_path / "expert.ckpt"
+    _save_bundle(expert, (4,), full_state=True)
+    code = run(["record", "--env", "pendulum-po", "--ckpt", str(expert),
+                "--episodes", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: checkpoint actor.l0.W has shape (4, 8), expected (2, 8)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pairing", ["action", "transition"])  # dac, dacfo
+def test_cli_record_accepts_full_state_learners(tmp_path, pairing):
+    ckpt = tmp_path / "final.ckpt"
+    _save_bundle(ckpt, (4,), full_state=True, pairing=pairing)
+    out = tmp_path / "E.laifo"
+    assert run(["record", "--env", "pointmass-v", "--ckpt", str(ckpt),
+                "--episodes", "1", "--out", str(out), "--privileged"]) == 0
+    assert out.exists()
+
+
+def _readme_commands():
+    """The argv of each `laifo ...` line of README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("laifo ")]
+
+
+def test_readme_command_lines_are_accepted():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "train-expert", "record", "imitate", "report", "verify-theory"}
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if "set" in vars(args):
+            cli._build_config(args)
+        if "env" in vars(args):
+            make_env(args.env)
 
 
 def test_report_requires_expert_score(tmp_path):

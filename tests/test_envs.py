@@ -3,7 +3,7 @@ import pytest
 
 from laifo import envs
 from laifo.envs import (ENV_IDS, EpisodeDone, FullyObservableWrapper, PointMass,
-                        clone, make_env, make_tabular, parse_tabular_id)
+                        clone, make_env, make_tabular)
 
 
 def test_reset_deterministic_per_seed():
@@ -163,15 +163,7 @@ def test_make_tabular_injective_infeasible():
         make_tabular("injective-deterministic", 3, 4, seed=0)
 
 
-def test_tabular_id_parsing():
-    assert parse_tabular_id("tabular:mdp-s8-a3") == ("mdp", 8, 3, None)
-    assert parse_tabular_id("tabular:random-s8-a3-x5") == ("random", 8, 3, 5)
-    structure, s, a, x = parse_tabular_id("tabular:injective-deterministic-s6-a2")
-    assert structure == "injective-deterministic" and (s, a) == (6, 2)
-    m = make_env("tabular:mdp-s4-a2", seed=0)
-    assert m.n_states == 4 and m.n_actions == 2
-
-
 def test_unknown_env_id():
-    with pytest.raises(ValueError, match="unknown environment"):
-        make_env("walker-walk")
+    for env_id in ("walker-walk", "tabular:mdp-s4-a2"):
+        with pytest.raises(ValueError, match="unknown environment"):
+            make_env(env_id)

@@ -294,6 +294,19 @@ def test_checkpoint_manifest_missing_keys_raise_value_error(tmp_path):
             load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("manifest, key, kind", [
+    (b'{"params": 5}', "params", "list"),
+    (b'{"params": {"a": [1]}}', "params", "list"),
+    (b'{"params": [{"name": "a", "shape": 3}]}', "shape", "a list of ints"),
+    (b'{"params": [{"name": "a", "shape": [1.5]}]}', "shape", "a list of ints"),
+    (b'{"params": [{"name": ["a"], "shape": [1]}]}', "name", "str")])
+def test_checkpoint_manifest_value_of_wrong_type_refused(tmp_path, manifest, key, kind):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CKPT_MAGIC + struct.pack("<I", len(manifest)) + manifest + bytes(8))
+    with pytest.raises(ValueError, match=f"checkpoint manifest.* entry '{key}' must be {kind}"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOT-A-CKPT-1" + b"\x00" * 16)

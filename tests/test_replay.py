@@ -188,6 +188,26 @@ def test_dataset_header_missing_keys(tmp_path):
             load_dataset(bad)
 
 
+_BAD_HEADER_VALUES = [("env", 3, "str"), ("obs_shape", "ab", "a list of ints"),
+                      ("obs_shape", 2, "a list of ints"), ("act_shape", [2.0], "a list of ints"),
+                      ("act_shape", [True], "a list of ints"), ("episodes", "1", "int"),
+                      ("episodes", True, "int"), ("has_actions", "false", "bool")]
+
+
+@pytest.mark.parametrize("key, value, kind", _BAD_HEADER_VALUES,
+                         ids=[f"{k}={v!r}" for k, v, _ in _BAD_HEADER_VALUES])
+def test_dataset_header_value_of_wrong_type_refused(tmp_path, key, value, kind):
+    path = tmp_path / "e.laifo"
+    save_dataset(_toy_dataset(), path)
+    raw = path.read_bytes()
+    at = len(DATASET_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", raw[at - 4:at])
+    text = json.dumps({**json.loads(raw[at:at + hlen]), key: value}).encode()
+    path.write_bytes(DATASET_MAGIC + struct.pack("<I", len(text)) + text + raw[at + hlen:])
+    with pytest.raises(ValueError, match=f"dataset header entry '{key}' must be {kind}"):
+        load_dataset(path)
+
+
 def _write_zero_frame_dataset(path, has_a, has_r):
     """A LAIFO1 file whose second episode declares 0 frames."""
     rng = np.random.default_rng(8)
@@ -300,7 +320,7 @@ def test_expert_sampler_ring_equals_frame_by_frame_pushes(with_actions, with_rew
 @pytest.mark.parametrize("obs_shape", [(3,), (6, 6)])
 def test_expert_sampler_matches_clamped_reference(d, obs_shape):
     rng = np.random.default_rng(40 + d)
-    eps = [Episode(rng.standard_normal((n, *obs_shape)).astype(np.float32),
+    eps = [Episode(_frames(rng, (n, *obs_shape)),
                    rng.standard_normal((n - 1, 2)).astype(np.float32),
                    rng.standard_normal(n - 1).astype(np.float32))
            for n in (2, 5, 2, 9, 3, 2)]
@@ -388,23 +408,18 @@ def test_push_refuses_image_frames_without_a_code(value):
 
 
 @pytest.mark.parametrize("stray", [None, 0.3, -0.0])
-def test_expert_sampler_keeps_float32_pixels_without_a_code(stray):
+def test_expert_sampler_refuses_pixels_without_a_code(stray):
     rng = np.random.default_rng(60)
     eps = [Episode(_frames(rng, (n, 6, 6)), rng.standard_normal((n - 1, 2)).astype(np.float32),
                    rng.standard_normal(n - 1).astype(np.float32))
            for n in (2, 5, 9, 3)]
-    if stray is not None:
-        eps[2].observations[4, 1, 5] = stray
     ds = ExpertDataset("pointmass-px32", (6, 6), (2,), eps)
-    sampler = ExpertWindowSampler(ds, 3)
-    assert sampler._ring._obs.dtype == (np.uint8 if stray is None else np.float32)
-    got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(3):
-        batch = sampler.sample(200, got_rng)
-        wins, _, nxt = _clamped_reference(ds, 3, 200, ref_rng, False)
-        assert batch.windows.dtype == np.float32
-        assert np.array_equal(batch.windows, wins)
-        assert np.array_equal(batch.next_windows, nxt)
+    if stray is None:
+        assert ExpertWindowSampler(ds, 3)._ring._obs.dtype == np.uint8
+        return
+    eps[2].observations[4, 1, 5] = stray
+    with pytest.raises(ValueError, match="episode 2: image frames must hold only 0, 0.5 and 1"):
+        ExpertWindowSampler(ds, 3)
 
 
 @pytest.mark.parametrize("field", ["observations", "actions", "rewards"])
