@@ -23,12 +23,10 @@ import numpy as np
 LOG_OFFSET = 1e-8    # added inside log() so adversarial losses never hit -inf
 NORM_OFFSET = 1e-12  # inside the sqrt of l2norm, keeps its gradient finite at 0
 
-PUBLIC_KINDS = frozenset({
-    "add", "mul", "div", "matmul", "affine", "tanh", "relu", "sigmoid", "log",
-    "square", "sum", "mean", "concat", "l2norm", "reshape", "im2col",
-})
-# attributes a public kind cannot run without
-_REQUIRED_ATTRS = {"reshape": ("shape",), "im2col": ("kh", "kw", "stride")}
+# attributes an operation kind cannot run without
+_REQUIRED_ATTRS = {"reshape": ("shape",), "slice": ("key",),
+                   "im2col": ("kh", "kw", "stride"),
+                   "col2im": ("x_shape", "kh", "kw", "stride")}
 
 
 class ShapeMismatchError(ValueError):
@@ -166,7 +164,7 @@ class _GraphExec:
 
     def op(self, kind, *xs, **attrs):
         """Any kind of the operation table, as a graph node."""
-        return _apply_private(kind, [self.v(x) for x in xs], **attrs)
+        return apply(kind, xs, **attrs)
 
     def affine(self, x, w, b):
         return apply("affine", [x, w, b])
@@ -187,7 +185,7 @@ class _GraphExec:
 
     def div(self, a, b):
         a = self.v(a)
-        return _apply_private("div", [a, _as_node(b, a)])
+        return apply("div", [a, _as_node(b, a)])
 
     def neg(self, a):
         return -self.v(a)
@@ -496,32 +494,22 @@ _OPS = {
 _BINARY_ELEMWISE = frozenset({"add", "mul", "div", "minimum"})
 
 
-def _apply_private(kind, inputs, **attrs):
-    fw, _ = _OPS[kind]
+def apply(kind, inputs, **attrs):
+    """Build a graph node for one kind of the operation table."""
+    if kind not in _OPS:
+        raise ValueError(f"unknown operation kind: {kind!r}")
+    required = _REQUIRED_ATTRS.get(kind)
+    if required and not all(a in attrs for a in required):
+        raise ValueError(f"{kind} needs " + " and ".join(f"{a}=" for a in required))
+    inputs = [_as_node(x) for x in inputs]
     if kind in _BINARY_ELEMWISE:
         a, b = inputs[0].values, inputs[1].values
         try:
             np.broadcast_shapes(a.shape, b.shape)
         except ValueError:
             raise ShapeMismatchError(kind, (a.shape, b.shape)) from None
-    values = fw(attrs, *(x.values for x in inputs))
+    values = _OPS[kind][0](attrs, *(x.values for x in inputs))
     return TensorNode(values, op=kind, inputs=tuple(inputs), attrs=attrs)
-
-
-def apply(kind, inputs, **attrs):
-    """Build a graph node for one of the public operation kinds."""
-    if kind not in PUBLIC_KINDS:
-        raise ValueError(f"unknown operation kind: {kind!r}")
-    required = _REQUIRED_ATTRS.get(kind)
-    if required and not all(a in attrs for a in required):
-        raise ValueError(f"{kind} needs " + " and ".join(f"{a}=" for a in required))
-    inputs = [_as_node(x) for x in inputs]
-    return _apply_private(kind, inputs, **attrs)
-
-
-def minimum(a, b):
-    """Elementwise min of two nodes, differentiable a.e."""
-    return _apply_private("minimum", [_as_node(a), _as_node(b)])
 
 
 # ---------------------------------------------------------------------------

@@ -147,26 +147,18 @@ def cmd_record(args):
     return 0
 
 
-def cmd_imitate(args, algo=None):
+def cmd_imitate(args):
     cfg = _build_config(args)
-    algo = algo or args.algo
     env = make_env(args.env, seed=cfg.seed, reward_mode=args.reward_mode)
-    expert_data = replay.load_dataset(args.expert_data) if args.expert_data else None
-    report = imitate.train(algo, env, expert_data, cfg, out_dir=args.out_dir)
-    meta = {"kind": "imitate", "algo": algo, "env": args.env, "seed": cfg.seed}
-    if args.expert_data:
-        meta["expert_data_sha256"] = _dataset_hash(args.expert_data)
+    expert_data = replay.load_dataset(args.expert_data)
+    report = imitate.train(args.algo, env, expert_data, cfg, out_dir=args.out_dir)
+    meta = {"kind": "imitate", "algo": args.algo, "env": args.env, "seed": cfg.seed,
+            "expert_data_sha256": _dataset_hash(args.expert_data)}
     if report.expert_score is not None:
         meta["expert_score"] = report.expert_score
     _write_meta(args.out_dir, **meta)
     print(f"final return {report.final_return():.3f} -> {args.out_dir}")
     return 0
-
-
-def cmd_rl_plus_videos(args):
-    if args.imit_scale is not None:
-        args.set.append(f"imit_reward_scale={args.imit_scale}")
-    return cmd_imitate(args, algo="rl_plus_videos")
 
 
 _CLAIM_SIZES = {
@@ -176,6 +168,7 @@ _CLAIM_SIZES = {
     "lemma1": ("mdp", (3, 12), (2, 4), 1),
     "lemma2": ("mdp", (3, 12), (2, 4), 1),
     "theorem3": ("mdp", (3, 6), (2, 3), 2),
+    "lemma4": ("mdp", (3, 12), (2, 4), 1),
 }
 
 
@@ -183,18 +176,6 @@ def verify_instances(claim, n_instances, seed):
     """BoundReports for generated instances of one claim."""
     rng = np.random.default_rng(seed)
     reports = []
-    if claim == "lemma4":
-        for _ in range(n_instances):
-            n = int(rng.integers(2, 17))
-            p = rng.dirichlet(np.full(n, rng.uniform(0.2, 3.0)))
-            q = rng.dirichlet(np.full(n, rng.uniform(0.2, 3.0)))
-            tv = theory.f_divergence("tv", p, q)
-            js = theory.f_divergence("js", p, q)
-            reports.append(theory.BoundReport(
-                claim="lemma4", lhs=tv, rhs=float(np.sqrt(js)),
-                slack=float(np.sqrt(js)) - tv,
-                extras={"alphabet": n, "js": js}))
-        return reports
     structure, s_range, a_range, k = _CLAIM_SIZES[claim]
     scheme = theory.LatentScheme(k)
     for i in range(n_instances):
@@ -334,17 +315,6 @@ def build_parser():
     sp.add_argument("--reward-mode", default="dense", choices=("dense", "sparse"))
     _config_flags(sp)
     sp.set_defaults(fn=cmd_imitate)
-
-    sp = sub.add_parser("rl-plus-videos",
-                        help="reward-augmented RL from expert videos")
-    sp.add_argument("--env", required=True)
-    sp.add_argument("--expert-data", required=True)
-    sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--imit-scale", type=float, default=None,
-                    help="scale on the imitation reward (0 = plain RL baseline)")
-    sp.add_argument("--reward-mode", default="dense", choices=("dense", "sparse"))
-    _config_flags(sp)
-    sp.set_defaults(fn=cmd_rl_plus_videos)
 
     sp = sub.add_parser("verify-theory", help="run exact bound checks")
     sp.add_argument("--claim", default="all",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import augment, nets
-from .autodiff import apply, backward, input_gradient, minimum, tensor
+from .autodiff import apply, backward, input_gradient, tensor
 from .envs import FullyObservableWrapper, clone
 from .replay import ExpertWindowSampler, ReplayBuffer
 
@@ -60,8 +60,6 @@ class Config:
     warmup: int = 2000
     capacity: int = 100_000
     imit_reward_scale: float = 1.0
-    bc_steps: int = 10_000
-    stop_at_return: float = 0.0      # 0 disables early stopping
     float32: bool = False
 
     def __post_init__(self):
@@ -83,7 +81,6 @@ class Config:
             (self.z_dim >= 1, "z_dim must be >= 1"),
             (self.hidden >= 1, "hidden must be >= 1"),
             (self.sigma_decay_frames >= 0, "sigma_decay_frames must be >= 0"),
-            (self.bc_steps >= 1, "bc_steps must be >= 1"),
             (self.warmup >= 0, "warmup must be >= 0"),
             (self.lr > 0, "lr must be > 0"),
             (self.disc_lr > 0, "disc_lr must be > 0"),
@@ -310,7 +307,7 @@ def update_actor(bundle, windows, cfg, sigma, rng):
         eps = np.clip(eps, -cfg.clip_c, cfg.clip_c)
     a_node = pi + tensor(eps.astype(z.dtype))
     q1, q2 = bundle.critics.forward(tensor(z), a_node)
-    loss = -apply("mean", [minimum(q1, q2)])
+    loss = -apply("mean", [apply("minimum", [q1, q2])])
     bundle.actor_opt.step(backward(loss, bundle.actor_opt.params))
     return loss.values.item()
 
@@ -412,12 +409,15 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     every evaluation episode runs on a fresh copy rebuilt from its
     `env_id` (`envs.clone`). The fully observable learners see the
     privileged state; an unwrapped environment is wrapped for them.
-    `frames`, when given, replaces `cfg.frames`; a budget of 0 only
-    evaluates the initial policy, in one row at frame 0.
+    `frames`, when given, replaces `cfg.frames`; it counts environment
+    frames, or gradient steps for `bc`. A budget of 0 only evaluates the
+    initial policy, in one row at frame 0.
     """
     env = _check_capabilities(algo, env, expert_data)
+    frames = cfg.frames if frames is None else frames
+    cfg = replace(cfg, frames=max(frames, 1))
     if algo == "bc":
-        report = train_bc(env, expert_data, cfg)
+        report = train_bc(env, expert_data, cfg, frames)
         if out_dir is not None:
             _write_run_dir(out_dir, report, cfg)
         return report
@@ -426,8 +426,7 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     expert = algo == EXPERT
     pairing = "action" if algo in ("lail", "dac") else "transition"
     d = 1 if fully_obs else cfg.d
-    frames = cfg.frames if frames is None else frames
-    cfg = replace(cfg, d=d, frames=max(frames, 1))
+    cfg = replace(cfg, d=d)
 
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, pairing, rng,
@@ -488,8 +487,6 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
         if t % cfg.eval_interval == 0 or t == frames:
             report.rows.append(eval_row(t))
             imit_sum, imit_n = 0.0, 0
-            if cfg.stop_at_return and report.rows[-1].eval_return >= cfg.stop_at_return:
-                break
     if frames == 0:
         report.rows.append(eval_row(0))
 
@@ -516,8 +513,9 @@ def _disc_step(bundle, buffer, sampler, cfg, rng):
     return update_discriminator(bundle, pairs(expert), agent_pairs, cfg, rng)
 
 
-def train_bc(env, expert_data, cfg):
-    """Supervised regression of expert actions from observation windows."""
+def train_bc(env, expert_data, cfg, steps):
+    """Supervised regression of expert actions from observation windows,
+    for `steps` gradient steps."""
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, "action", rng,
                           with_disc=False)
@@ -529,21 +527,26 @@ def train_bc(env, expert_data, cfg):
         report.expert_score = expert_data.mean_return()
     start = time.perf_counter()
     loss_value = 0.0
-    for step in range(1, cfg.bc_steps + 1):
+
+    def eval_row(step):
+        ret = evaluate(env, WindowPolicy(bundle, cfg.d), cfg.eval_episodes,
+                       seed=(cfg.seed + 1) * 1_000_003 + step)
+        return ReportRow(
+            frame=step, episode=0, eval_return=ret, disc_loss=0.0,
+            critic_loss=0.0, actor_loss=loss_value, imit_reward_mean=0.0,
+            wall_clock_s=time.perf_counter() - start, seed=cfg.seed)
+
+    for step in range(1, steps + 1):
         batch = sampler.sample(cfg.batch, rng, with_actions=True)
         pred = bundle.actor.forward(bundle.enc.forward(batch.windows))
         target = tensor(batch.actions.astype(cfg.dtype))
         loss = apply("mean", [apply("square", [pred - target])])
         opt.step(backward(loss, opt.params))
         loss_value = loss.values.item()
-        if step % cfg.eval_interval == 0 or step == cfg.bc_steps:
-            policy = WindowPolicy(bundle, cfg.d)
-            ret = evaluate(env, policy, cfg.eval_episodes,
-                           seed=(cfg.seed + 1) * 1_000_003 + step)
-            report.rows.append(ReportRow(
-                frame=step, episode=0, eval_return=ret, disc_loss=0.0,
-                critic_loss=0.0, actor_loss=loss_value, imit_reward_mean=0.0,
-                wall_clock_s=time.perf_counter() - start, seed=cfg.seed))
+        if step % cfg.eval_interval == 0 or step == steps:
+            report.rows.append(eval_row(step))
+    if steps == 0:
+        report.rows.append(eval_row(0))
     return report
 
 

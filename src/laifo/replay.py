@@ -292,8 +292,10 @@ def _read_exact(f, n, what):
 
 def _require(header, keys, what):
     """The values of `keys` in a decoded JSON header, each of the type `keys`
-    maps it to (`tuple`: a shape, from a list of ints; a bool is no int). A
-    ValueError names the first key the header lacks or has of another type."""
+    maps it to (`tuple`: a shape, from a list of ints; a bool is no int).
+    Ints, alone or in a shape, are sizes and must not be negative. A
+    ValueError names the first key the header lacks or has of another type
+    or sign."""
     out = []
     for key, kind in keys.items():
         if not isinstance(header, dict) or key not in header:
@@ -304,6 +306,8 @@ def _require(header, keys, what):
         if type(value) is not kind:
             wanted = "a list of ints" if kind is tuple else kind.__name__
             raise ValueError(f"{what} entry {key!r} must be {wanted}, got {value!r}")
+        if kind in (int, tuple) and np.any(np.asarray(value) < 0):
+            raise ValueError(f"{what} entry {key!r} must not be negative, got {header[key]!r}")
         out.append(value)
     return out
 

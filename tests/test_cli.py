@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import struct
 from pathlib import Path
@@ -41,6 +42,16 @@ def test_load_config_rejects_invalid_values(tmp_path):
     unknown.write_text("niceness=3\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(unknown)
+
+
+@pytest.mark.parametrize("line", ["bc_steps=4", "stop_at_return=100"])
+def test_load_config_refuses_retired_keys(tmp_path, line):
+    # bc's budget is `frames`, and runs stop only at their budget
+    path = tmp_path / "old.cfg"
+    path.write_text(f"frames=8\n{line}\n")
+    key = line.split("=")[0]
+    with pytest.raises(ValueError, match=re.escape(f"unknown config key '{key}' in {path}:2")):
+        load_config(path)
 
 
 def test_load_config_booleans_are_strict(tmp_path):
@@ -106,10 +117,10 @@ def test_verify_instances_search_each_instance_once(monkeypatch):
         return search(pomdp, scheme)
 
     monkeypatch.setattr(cli.theory, "_reach", counted)
-    # every claim but lemma4 generates POMDPs: 6 claims x 25 instances
+    # every claim generates POMDPs, each searched once: 7 claims x 25 instances
     for claim in cli.theory.CLAIMS:
         verify_instances(claim, 25, seed=0)
-    assert len(calls) == 150
+    assert len(calls) == 175
 
 
 def test_verify_instances_lemma4():
@@ -180,22 +191,25 @@ def test_cli_bc_writes_run_dir(tmp_path):
     run_dir = tmp_path / "bc"
     code = run(["imitate", "--algo", "bc", "--env", "pointmass-v",
                 "--expert-data", str(data_path), "--out-dir", str(run_dir),
-                "--set", "bc_steps=4", "--set", "eval_interval=2", "--batch", "4",
+                "--frames", "4", "--set", "eval_interval=2", "--batch", "4",
                 "--set", "hidden=8", "--set", "z_dim=4", "--set", "eval_episodes=1"])
     assert code == 0
     for name in ("metrics.csv", "final.ckpt", "config.txt", "meta.json"):
         assert (run_dir / name).exists(), name
     assert json.loads((run_dir / "meta.json").read_text())["algo"] == "bc"
-    assert len((run_dir / "metrics.csv").read_text().splitlines()) == 3
+    # --frames counts bc's gradient steps: one row per eval_interval steps
+    rows = (run_dir / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "4"]
+    assert "frames=4\n" in (run_dir / "config.txt").read_text()
 
 
 def test_cli_rl_plus_videos_baseline_writes_run_dir(tmp_path):
     data_path = tmp_path / "E.laifo"
     _tiny_dataset(data_path)
     run_dir = tmp_path / "rlv"
-    code = run(["rl-plus-videos", "--env", "pointmass-v",
+    code = run(["imitate", "--algo", "rl_plus_videos", "--env", "pointmass-v",
                 "--expert-data", str(data_path), "--out-dir", str(run_dir),
-                "--imit-scale", "0", "--frames", "30", "--batch", "4",
+                "--set", "imit_reward_scale=0", "--frames", "30", "--batch", "4",
                 "--set", "hidden=8", "--set", "z_dim=4", "--set", "warmup=10",
                 "--set", "eval_interval=30", "--set", "eval_episodes=1"])
     assert code == 0
@@ -228,9 +242,9 @@ def test_cli_bc_without_steps_exits_1(tmp_path, capsys, steps):
     run_dir = tmp_path / "bc"
     code = run(["imitate", "--algo", "bc", "--env", "pointmass-v",
                 "--expert-data", str(data_path), "--out-dir", str(run_dir),
-                "--set", f"bc_steps={steps}"])
+                "--frames", steps])
     assert code == 1
-    assert capsys.readouterr().err == "error: bc_steps must be >= 1\n"
+    assert capsys.readouterr().err == "error: frames must be >= 1\n"
     assert not run_dir.exists()
 
 
@@ -304,7 +318,7 @@ def test_cli_tabular_env_id_exits_1(tmp_path, capsys):
         Episode(obs, np.zeros((2, 2), dtype=np.float32),
                 np.zeros(2, dtype=np.float32))]), data_path)
     for command in (["imitate", "--algo", "rl_plus_videos"], ["imitate", "--algo", "bc"],
-                    ["rl-plus-videos"]):
+                    ["imitate", "--algo", "rl_plus_videos", "--set", "imit_reward_scale=0"]):
         code = run(command + ["--env", "tabular:mdp-s4-a2",
                               "--expert-data", str(data_path), "--out-dir",
                               str(tmp_path / "x"), "--frames", "50"])

@@ -38,8 +38,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="clip_c"):
         Config(clip_c=0.0)
     for key, value in (("eval_interval", 0), ("eval_interval", -5), ("z_dim", 0),
-                       ("hidden", 0), ("sigma_decay_frames", -1), ("bc_steps", 0),
-                       ("bc_steps", -3), ("warmup", -5), ("lr", 0.0), ("lr", -1.0),
+                       ("hidden", 0), ("sigma_decay_frames", -1), ("frames", 0),
+                       ("frames", -3), ("warmup", -5), ("lr", 0.0), ("lr", -1.0),
                        ("disc_lr", 0.0), ("disc_lr", -1.0)):
         with pytest.raises(ValueError, match=key):
             Config(**{key: value})
@@ -380,7 +380,7 @@ def _linear_expert_dataset(rng, n_episodes=6, length=12, k=(0.8, -0.5)):
 def test_bc_recovers_linear_policy():
     rng = np.random.default_rng(27)
     ds = _linear_expert_dataset(rng)
-    cfg = small_cfg(d=1, bc_steps=3000, lr=1e-3, batch=32, eval_interval=10**9)
+    cfg = small_cfg(d=1, frames=3000, lr=1e-3, batch=32, eval_interval=10**9)
     env = make_env("pointmass-v")
     report = train("bc", env, ds, cfg)
     batch = ExpertWindowSampler(ds, 1).sample(256, np.random.default_rng(28),
@@ -388,6 +388,19 @@ def test_bc_recovers_linear_policy():
     pred = report.bundle.actor.values(report.bundle.enc.values(batch.windows))
     mse = float(np.mean((pred - batch.actions) ** 2))
     assert mse < 1e-3
+
+
+@pytest.mark.parametrize("algo", ["bc", "laifo"])
+def test_zero_budget_evaluates_the_initial_policy(algo):
+    ds = _linear_expert_dataset(np.random.default_rng(30))
+    cfg = small_cfg()
+    report = train(algo, make_env("pointmass-v"), ds, cfg, frames=0)
+    assert [(r.frame, r.actor_loss) for r in report.rows] == [(0, 0.0)]
+    fresh = build_bundle(cfg, (2,), 2, "action" if algo == "bc" else "transition",
+                         np.random.default_rng(cfg.seed), with_disc=algo != "bc")
+    for (name, got), (_, want) in zip(report.bundle.named_params(),
+                                      fresh.named_params(), strict=True):
+        assert np.array_equal(got, want), name
 
 
 def test_capability_gating():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from laifo.envs import PointMass
+from laifo.nets import CKPT_MAGIC, load_checkpoint
 from laifo.replay import (DATASET_MAGIC, Episode, ExpertDataset,
                           ExpertWindowSampler, ReplayBuffer, _decode, _encode,
                           load_dataset, save_dataset)
@@ -188,6 +189,16 @@ def test_dataset_header_missing_keys(tmp_path):
             load_dataset(bad)
 
 
+def _save_with_header_entry(path, key, value):
+    """The toy dataset saved at `path`, with its header's `key` set to `value`."""
+    save_dataset(_toy_dataset(), path)
+    raw = path.read_bytes()
+    at = len(DATASET_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", raw[at - 4:at])
+    text = json.dumps({**json.loads(raw[at:at + hlen]), key: value}).encode()
+    path.write_bytes(DATASET_MAGIC + struct.pack("<I", len(text)) + text + raw[at + hlen:])
+
+
 _BAD_HEADER_VALUES = [("env", 3, "str"), ("obs_shape", "ab", "a list of ints"),
                       ("obs_shape", 2, "a list of ints"), ("act_shape", [2.0], "a list of ints"),
                       ("act_shape", [True], "a list of ints"), ("episodes", "1", "int"),
@@ -198,14 +209,29 @@ _BAD_HEADER_VALUES = [("env", 3, "str"), ("obs_shape", "ab", "a list of ints"),
                          ids=[f"{k}={v!r}" for k, v, _ in _BAD_HEADER_VALUES])
 def test_dataset_header_value_of_wrong_type_refused(tmp_path, key, value, kind):
     path = tmp_path / "e.laifo"
-    save_dataset(_toy_dataset(), path)
-    raw = path.read_bytes()
-    at = len(DATASET_MAGIC) + 4
-    (hlen,) = struct.unpack("<I", raw[at - 4:at])
-    text = json.dumps({**json.loads(raw[at:at + hlen]), key: value}).encode()
-    path.write_bytes(DATASET_MAGIC + struct.pack("<I", len(text)) + text + raw[at + hlen:])
+    _save_with_header_entry(path, key, value)
     with pytest.raises(ValueError, match=f"dataset header entry '{key}' must be {kind}"):
         load_dataset(path)
+
+
+_NEGATIVE_SIZES = [("dataset", "obs_shape", [-1]), ("dataset", "act_shape", [-2]),
+                   ("dataset", "obs_shape", [-1, -2]), ("dataset", "episodes", -1),
+                   ("checkpoint", "shape", [-3])]
+
+
+@pytest.mark.parametrize("fmt, key, value", _NEGATIVE_SIZES,
+                         ids=[f"{f}-{k}={v!r}" for f, k, v in _NEGATIVE_SIZES])
+def test_negative_header_size_refused_naming_the_key(tmp_path, fmt, key, value):
+    path = tmp_path / "bad"
+    if fmt == "dataset":
+        _save_with_header_entry(path, key, value)
+        load = load_dataset
+    else:
+        text = json.dumps({"params": [{"name": "a", key: value}]}).encode()
+        path.write_bytes(CKPT_MAGIC + struct.pack("<I", len(text)) + text + bytes(8))
+        load = load_checkpoint
+    with pytest.raises(ValueError, match=f"entry '{key}' must not be negative"):
+        load(path)
 
 
 def _write_zero_frame_dataset(path, has_a, has_r):

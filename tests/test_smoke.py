@@ -17,8 +17,7 @@ FULL_STATE = ("dac", "dacfo")
 def tiny_cfg():
     # 4 update steps after a 10-frame warmup, one evaluation at the end
     return Config(frames=14, warmup=10, batch=4, hidden=8, z_dim=4, d=2,
-                  capacity=64, eval_interval=14, eval_episodes=1, bc_steps=3,
-                  seed=0)
+                  capacity=64, eval_interval=14, eval_episodes=1, seed=0)
 
 
 class StandStill:
@@ -62,7 +61,7 @@ def test_every_algo_trains_on_every_env(algo, env_id, datasets):
     cfg = tiny_cfg()
     report = train(algo, make_env(env_id), data, cfg)
     assert report.algo == algo and report.env_id == env_id
-    assert_trained(report, cfg.bc_steps if algo == "bc" else cfg.frames)
+    assert_trained(report, cfg.frames)
     if algo != "bc":
         assert report.rows[-1].critic_loss != 0.0
 
