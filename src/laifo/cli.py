@@ -98,9 +98,9 @@ def _build_config(args):
     return load_config(args.config, overrides)
 
 
-def _rebuild_state_actor(ckpt_path, env):
+def _load_state_policy(ckpt_path, env):
     """The checkpoint's actor, which must map `env`'s privileged state to
-    its actions; only its hidden width is read from the checkpoint."""
+    its actions, as a `StatePolicy`; only its width is read from the file."""
     loaded = nets.load_checkpoint(ckpt_path)
     first = loaded.get("actor.l0.W")
     if first is None or first.ndim != 2:
@@ -111,7 +111,7 @@ def _rebuild_state_actor(ckpt_path, env):
     actor = nets.Actor(np.random.default_rng(0), env.state_dim, env.act_dim,
                        hidden=first.shape[1])
     nets.load_into([actor], loaded)
-    return actor
+    return expertgen.StatePolicy(imitate.AgentBundle(actor=actor, critics=None, enc=None))
 
 
 def cmd_train_expert(args):
@@ -130,15 +130,10 @@ def cmd_train_expert(args):
 
 def cmd_record(args):
     env = make_env(args.env, seed=args.seed, reward_mode=args.reward_mode)
-    actor = _rebuild_state_actor(args.ckpt, env)
-
-    class _Policy:
-        def action(self, state):
-            return actor.values(np.atleast_2d(state))[0]
-
+    policy = _load_state_policy(args.ckpt, env)
     if args.privileged:
         env = FullyObservableWrapper(env)
-    ds = expertgen.record(env, _Policy(), args.episodes,
+    ds = expertgen.record(env, policy, args.episodes,
                           with_actions=args.with_actions, seed=args.seed,
                           env_id=args.env)
     replay.save_dataset(ds, args.out)

@@ -1,8 +1,8 @@
 """Privileged experts and their datasets.
 
-The expert is the imitation learner's own off-policy actor-critic run by
-`imitate.train` in a private mode: full state, environment reward, no
-discriminator. `record` rolls a trained expert out on a fresh copy of a
+The expert is an ordinary learner: `rl_plus_videos` without data on an
+`envs.FullyObservableWrapper`, so it learns the environment reward on the
+privileged state. `record` rolls a trained expert out on a fresh copy of a
 `make_env` environment (wrapped in `envs.FullyObservableWrapper` for
 state datasets) and packs observation-only (or observation-action)
 datasets.
@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envs import clone
-from .imitate import EXPERT, WindowPolicy, evaluate, train
+from .envs import FullyObservableWrapper, clone
+from .imitate import WindowPolicy, evaluate, train
 from .imitate import update_critic  # noqa: F401  re-exported; trainbench traces it here
 from .replay import Episode, ExpertDataset
 
 
 class StatePolicy:
-    """Deterministic policy over the privileged state."""
+    """Deterministic policy over the privileged state: the actor of an
+    `imitate.AgentBundle`."""
 
     def __init__(self, bundle):
         self.bundle = bundle
@@ -30,11 +31,14 @@ class StatePolicy:
 
 def train_expert(env, frames, cfg):
     """Train the expert for `frames` environment steps on the privileged
-    state of `env` (a `make_env` environment; evaluation rebuilds copies
-    from its `env_id`). Returns the report of `imitate.train`: its bundle
-    holds the trained policy and `expert_score` is the last row's eval
-    return. A budget of 0 evaluates the initial policy once, at frame 0."""
-    report = train(EXPERT, env, None, cfg, frames=frames)
+    state of `env` (a `make_env` environment, wrapped or not):
+    `rl_plus_videos` without data. Returns the report of `imitate.train`:
+    its bundle holds the trained policy and `expert_score` is the last
+    row's eval return. A budget of 0 evaluates the initial policy once, at
+    frame 0."""
+    if not isinstance(env, FullyObservableWrapper):
+        env = FullyObservableWrapper(env)
+    report = train("rl_plus_videos", env, None, cfg, frames=frames)
     report.expert_score = report.rows[-1].eval_return
     return report
 

@@ -21,13 +21,8 @@ from .envs import FullyObservableWrapper, clone
 from .replay import ExpertWindowSampler, ReplayBuffer
 
 ALGOS = ("laifo", "lail", "dacfo", "dac", "bc", "rl_plus_videos")
-# The privileged expert: the same learner on the full state with the
-# environment reward and no discriminator. `expertgen.train_expert` runs
-# it; it is not in ALGOS, so the imitation CLI does not offer it.
-EXPERT = "expert-ddpg"
 _ACTION_ALGOS = ("lail", "dac", "bc")
-_FULL_STATE_ALGOS = ("dac", "dacfo", EXPERT)
-_ENV_REWARD_ALGOS = ("rl_plus_videos", EXPERT)
+_FULL_STATE_ALGOS = ("dac", "dacfo")
 
 METRICS_HEADER = ("frame", "episode", "eval_return", "disc_loss", "critic_loss",
                   "actor_loss", "imit_reward_mean", "wall_clock_s", "seed")
@@ -270,7 +265,10 @@ def update_discriminator(bundle, expert_pairs, agent_pairs, cfg, rng):
 
 def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
     """Regress both critics and the encoder onto the bootstrapped target;
-    the target itself carries no gradient."""
+    the target itself carries no gradient. The reward is the scaled
+    imitation reward (0 without a discriminator), plus the environment
+    reward when `use_env_reward`. Returns the critic loss and the mean of
+    the imitation term alone."""
     win = augment.random_shift_batch(batch.windows, cfg.pad, rng)
     nxt = augment.random_shift_batch(batch.next_windows, cfg.pad, rng)
     z_node = bundle.enc.forward(win)
@@ -283,6 +281,7 @@ def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
         r = cfg.imit_reward_scale * nets.discriminate(bundle.disc, pairs)
     else:
         r = np.zeros(len(z))
+    imit_mean = float(r.mean())
     if use_env_reward:
         r = r + batch.rewards
     a_next = nets.act(bundle.actor, z_next, sigma, cfg.clip_c, rng)
@@ -294,7 +293,7 @@ def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
         apply("mean", [apply("square", [q2 - y])])
     bundle.critic_opt.step(backward(loss, bundle.critic_opt.params))
     bundle.critics.soft_update(cfg.tau)
-    return loss.values.item(), float(r.mean())
+    return loss.values.item(), imit_mean
 
 
 def update_actor(bundle, windows, cfg, sigma, rng):
@@ -316,40 +315,27 @@ def update_actor(bundle, windows, cfg, sigma, rng):
 # Rollout helpers
 # ---------------------------------------------------------------------------
 
-class OnlineWindow:
-    """Maintains the stack of the d most recent observations, repeat-padded
-    at episode start."""
+class WindowPolicy:
+    """Deterministic policy (encoder + actor) over the window of the d most
+    recent observations, repeat-padded at episode start. Training acts
+    through the same window, adding exploration noise to the actor."""
 
-    def __init__(self, d):
+    def __init__(self, bundle, d):
+        self.bundle = bundle
         self.d = d
         self.frames = None
 
     def reset(self, obs):
         self.frames = [np.asarray(obs)] * self.d
 
-    def append(self, obs):
+    def observe(self, obs):
         self.frames = self.frames[1:] + [np.asarray(obs)]
 
-    def stacked(self):
-        return np.stack(self.frames)
-
-
-class WindowPolicy:
-    """Deterministic policy over observation windows (encoder + actor)."""
-
-    def __init__(self, bundle, d):
-        self.bundle = bundle
-        self.window = OnlineWindow(d)
-
-    def reset(self, obs):
-        self.window.reset(obs)
-
-    def observe(self, obs):
-        self.window.append(obs)
+    def latent(self):
+        return self.bundle.enc.values(np.stack(self.frames)[None])
 
     def action(self):
-        z = self.bundle.enc.values(self.window.stacked()[None])
-        return self.bundle.actor.values(z)[0]
+        return self.bundle.actor.values(self.latent())[0]
 
 
 def evaluate(env, policy, episodes, seed):
@@ -369,6 +355,12 @@ def evaluate(env, policy, episodes, seed):
     return total / episodes
 
 
+def _evaluate_bundle(env, bundle, cfg):
+    """Every row's evaluation: the episodes seeded (seed + 1) * 1_000_003 + k."""
+    return evaluate(env, WindowPolicy(bundle, cfg.d), cfg.eval_episodes,
+                    seed=(cfg.seed + 1) * 1_000_003)
+
+
 # ---------------------------------------------------------------------------
 # Trainers
 # ---------------------------------------------------------------------------
@@ -376,7 +368,7 @@ def evaluate(env, policy, episodes, seed):
 def _check_capabilities(algo, env, expert_data):
     """Refuse pairings the learner cannot train, and return the environment
     as the learner sees it (the privileged state for full-state learners)."""
-    if algo not in ALGOS and algo != EXPERT:
+    if algo not in ALGOS:
         raise CapabilityError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
     if not hasattr(env, "env_id"):
         raise ValueError("train on environments built by envs.make_env")
@@ -386,7 +378,7 @@ def _check_capabilities(algo, env, expert_data):
         if expert_data is None or not expert_data.has_actions:
             raise CapabilityError(
                 f"{algo}: expert actions required, but the dataset has none")
-    if algo not in _ENV_REWARD_ALGOS and expert_data is None:
+    if algo != "rl_plus_videos" and expert_data is None:
         raise CapabilityError(f"{algo} requires an expert dataset")
     if expert_data is not None:
         want = env.obs_shape
@@ -407,33 +399,33 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
 
     `env` must come from `envs.make_env`. It is consumed for interaction;
     every evaluation episode runs on a fresh copy rebuilt from its
-    `env_id` (`envs.clone`). The fully observable learners see the
-    privileged state; an unwrapped environment is wrapped for them.
+    `env_id` (`envs.clone`). A learner handed a `FullyObservableWrapper`
+    (`dac` and `dacfo` wrap theirs) flattens one privileged state (d = 1).
+    `rl_plus_videos` adds the environment reward and needs no data; that
+    is the expert. A discriminator needs data and a nonzero
+    `imit_reward_scale`.
     `frames`, when given, replaces `cfg.frames`; it counts environment
     frames, or gradient steps for `bc`. A budget of 0 only evaluates the
     initial policy, in one row at frame 0.
     """
     env = _check_capabilities(algo, env, expert_data)
+    fully_obs = isinstance(env, FullyObservableWrapper)
     frames = cfg.frames if frames is None else frames
-    cfg = replace(cfg, frames=max(frames, 1))
+    cfg = replace(cfg, frames=max(frames, 1), d=1 if fully_obs else cfg.d)
     if algo == "bc":
         report = train_bc(env, expert_data, cfg, frames)
         if out_dir is not None:
             _write_run_dir(out_dir, report, cfg)
         return report
 
-    fully_obs = algo in _FULL_STATE_ALGOS
-    expert = algo == EXPERT
     pairing = "action" if algo in ("lail", "dac") else "transition"
-    d = 1 if fully_obs else cfg.d
-    cfg = replace(cfg, d=d)
-
     rng = np.random.default_rng(cfg.seed)
+    with_disc = expert_data is not None and cfg.imit_reward_scale != 0
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, pairing, rng,
-                          full_state=fully_obs, with_disc=expert_data is not None)
+                          full_state=fully_obs, with_disc=with_disc)
     buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
-    sampler = ExpertWindowSampler(expert_data, d) if expert_data is not None else None
-    use_env_reward = algo in _ENV_REWARD_ALGOS
+    sampler = ExpertWindowSampler(expert_data, cfg.d) if with_disc else None
+    use_env_reward = algo == "rl_plus_videos"
 
     report = TrainReport(algo=algo, env_id=env.env_id, seed=cfg.seed, bundle=bundle)
     if expert_data is not None and expert_data.has_rewards:
@@ -441,21 +433,18 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
 
     obs = env.reset(seed=cfg.seed)
     buffer.push(obs, None)
-    window = OnlineWindow(d)
-    window.reset(obs)
+    policy = WindowPolicy(bundle, cfg.d)
+    policy.reset(obs)
     episode = 0
     start = time.perf_counter()
     disc_loss = critic_loss = actor_loss = 0.0
     imit_sum, imit_n = 0.0, 0
 
     def eval_row(t):
-        # the expert is scored on the same episodes at every evaluation
-        ret = evaluate(env, WindowPolicy(bundle, d), cfg.eval_episodes,
-                       seed=(cfg.seed + 1) * 1_000_003 + (0 if expert else t))
         return ReportRow(
-            frame=t, episode=episode, eval_return=ret,
+            frame=t, episode=episode, eval_return=_evaluate_bundle(env, bundle, cfg),
             disc_loss=disc_loss, critic_loss=critic_loss, actor_loss=actor_loss,
-            imit_reward_mean=0.0 if expert else imit_sum / max(imit_n, 1),
+            imit_reward_mean=imit_sum / max(imit_n, 1),
             wall_clock_s=time.perf_counter() - start, seed=cfg.seed)
 
     for t in range(1, frames + 1):
@@ -463,21 +452,20 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
         if t <= cfg.warmup:
             a = rng.uniform(-1.0, 1.0, env.act_dim)
         else:
-            z = bundle.enc.values(window.stacked()[None])
-            a = nets.act(bundle.actor, z, sigma_t, None, rng)[0]
+            a = nets.act(bundle.actor, policy.latent(), sigma_t, None, rng)[0]
         obs, r, done = env.step(a)
         buffer.push(obs, a, r, done)
-        window.append(obs)
+        policy.observe(obs)
         if done:
             episode += 1
             obs = env.reset()
             buffer.push(obs, None)
-            window.reset(obs)
+            policy.reset(obs)
 
         if t > cfg.warmup:
-            if bundle.disc is not None:
+            if with_disc:
                 disc_loss, _ = _disc_step(bundle, buffer, sampler, cfg, rng)
-            batch = buffer.sample_stacked(cfg.batch, d, rng)
+            batch = buffer.sample_stacked(cfg.batch, cfg.d, rng)
             critic_loss, imit_mean = update_critic(
                 bundle, batch, cfg, sigma_t, rng, use_env_reward)
             imit_sum += imit_mean
@@ -518,6 +506,7 @@ def train_bc(env, expert_data, cfg, steps):
     for `steps` gradient steps."""
     rng = np.random.default_rng(cfg.seed)
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, "action", rng,
+                          full_state=isinstance(env, FullyObservableWrapper),
                           with_disc=False)
     sampler = ExpertWindowSampler(expert_data, cfg.d)
     params = bundle.actor.params() + bundle.enc.params()
@@ -529,12 +518,11 @@ def train_bc(env, expert_data, cfg, steps):
     loss_value = 0.0
 
     def eval_row(step):
-        ret = evaluate(env, WindowPolicy(bundle, cfg.d), cfg.eval_episodes,
-                       seed=(cfg.seed + 1) * 1_000_003 + step)
         return ReportRow(
-            frame=step, episode=0, eval_return=ret, disc_loss=0.0,
-            critic_loss=0.0, actor_loss=loss_value, imit_reward_mean=0.0,
-            wall_clock_s=time.perf_counter() - start, seed=cfg.seed)
+            frame=step, episode=0, eval_return=_evaluate_bundle(env, bundle, cfg),
+            disc_loss=0.0, critic_loss=0.0, actor_loss=loss_value,
+            imit_reward_mean=0.0, wall_clock_s=time.perf_counter() - start,
+            seed=cfg.seed)
 
     for step in range(1, steps + 1):
         batch = sampler.sample(cfg.batch, rng, with_actions=True)

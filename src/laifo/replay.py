@@ -126,9 +126,6 @@ class ReplayBuffer:
             ok[self.size:] = False
         return idx[ok]
 
-    def n_transitions(self):
-        return len(self._transition_sources())
-
     def _sample_sources(self, batch, rng):
         """Uniform transition sources by rejection from stored slots."""
         out = np.empty(batch, dtype=np.int64)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from laifo.envs import FullyObservableWrapper, make_env
 from laifo.expertgen import StatePolicy, evaluate_expert, record, train_expert
-from laifo.imitate import Config
+from laifo.imitate import Config, train
 from laifo.replay import load_dataset, save_dataset
 
 
@@ -33,6 +35,23 @@ def test_training_deterministic_per_seed():
         assert name_arr_a[0] == name_arr_b[0]
         assert np.array_equal(name_arr_a[1], name_arr_b[1])
     assert a.expert_score == b.expert_score
+
+
+def test_expert_is_rl_plus_videos_on_the_privileged_state():
+    cfg = quick_cfg()
+    expert = train_expert(make_env("pointmass-v"), 600, cfg)
+    plain = train("rl_plus_videos", FullyObservableWrapper(make_env("pointmass-v")),
+                  None, cfg, frames=600)
+    assert expert.algo == plain.algo == "rl_plus_videos"
+    for (name_a, a), (name_b, b) in zip(expert.bundle.named_params(),
+                                        plain.bundle.named_params(), strict=True):
+        assert name_a == name_b
+        assert np.array_equal(a, b), name_a
+    assert [replace(r, wall_clock_s=0) for r in expert.rows] == \
+        [replace(r, wall_clock_s=0) for r in plain.rows]
+    # an environment that is already wrapped is not wrapped twice
+    wrapped = train_expert(FullyObservableWrapper(make_env("pointmass-v")), 0, cfg)
+    assert wrapped.bundle.enc.z_dim == 4
 
 
 def test_short_training_beats_standing_still():

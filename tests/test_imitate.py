@@ -449,6 +449,45 @@ def test_train_deterministic_reports():
     assert len(rows_a) == 2
 
 
+def test_every_evaluation_runs_the_same_episodes():
+    # no update runs before the budget ends, so every row scores one policy
+    ds = _linear_expert_dataset(np.random.default_rng(30), n_episodes=4)
+    cfg = small_cfg(frames=120, warmup=120, eval_interval=30)
+    report = train("laifo", make_env("pointmass-v"), ds, cfg)
+    returns = [r.eval_return for r in report.rows]
+    assert len(returns) == 4
+    assert len(set(returns)) == 1
+
+
+def test_rl_plus_videos_without_data_reports_no_imitation_reward():
+    cfg = small_cfg(frames=80, warmup=20, eval_interval=40)
+    report = train("rl_plus_videos", make_env("pointmass-v"), None, cfg)
+    assert report.bundle.disc is None
+    assert [r.imit_reward_mean for r in report.rows] == [0.0, 0.0]
+
+
+def test_zero_imitation_scale_builds_no_discriminator():
+    # the RL baseline with data trains exactly as without it
+    ds = _linear_expert_dataset(np.random.default_rng(30), n_episodes=4)
+    cfg = small_cfg(frames=80, warmup=20, eval_interval=40, imit_reward_scale=0.0)
+    with_data = train("rl_plus_videos", make_env("pointmass-v"), ds, cfg)
+    without = train("rl_plus_videos", make_env("pointmass-v"), None, cfg)
+    assert with_data.bundle.disc is None
+    for (name, got), (_, want) in zip(with_data.bundle.named_params(),
+                                      without.bundle.named_params(), strict=True):
+        assert np.array_equal(got, want), name
+    assert [r.disc_loss for r in with_data.rows] == [0.0, 0.0]
+
+
+def test_learners_on_the_privileged_state_flatten_one_frame():
+    env = FullyObservableWrapper(make_env("pointmass-v"))
+    ds = record(env, _StandStill(2), 1, seed=0)
+    for algo in ("bc", "laifo"):
+        report = train(algo, env, ds, small_cfg(d=3), frames=0)
+        assert isinstance(report.bundle.enc, nets.FlattenEncoder), algo
+        assert report.bundle.enc.z_dim == 4
+
+
 def test_train_loop_counts_one_update_per_step():
     env = make_env("pointmass-v")
     ds = _linear_expert_dataset(np.random.default_rng(31), n_episodes=4)
@@ -496,10 +535,12 @@ def test_rl_plus_videos_uses_env_reward():
     z = bundle.enc.values(batch.windows)
     z_next = bundle.enc.values(batch.next_windows)
     r_imit = nets.discriminate(bundle.disc, np.concatenate([z, z_next], axis=1))
-    loss, _ = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng,
-                            use_env_reward=True)
+    loss, imit_mean = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng,
+                                    use_env_reward=True)
     y = r_imit + batch.rewards
     assert loss == pytest.approx(2 * np.mean(y ** 2), rel=1e-9)
+    # the reported mean is the imitation term alone
+    assert imit_mean == pytest.approx(np.mean(r_imit), rel=1e-12)
 
 
 class _StandStill:

@@ -69,6 +69,6 @@ def test_every_algo_trains_on_every_env(algo, env_id, datasets):
 @pytest.mark.parametrize("env_id", ENV_IDS)
 def test_expert_trains_on_every_env(env_id):
     report = train_expert(make_env(env_id), 14, tiny_cfg())
-    assert report.algo == "expert-ddpg" and report.env_id == env_id
+    assert report.algo == "rl_plus_videos" and report.env_id == env_id
     assert_trained(report, 14)
     assert report.expert_score == report.rows[-1].eval_return
