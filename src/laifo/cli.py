@@ -79,9 +79,6 @@ def _config_flags(parser):
                         help="override one config entry (repeatable)")
     parser.add_argument("--frames", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--batch", type=int)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--d", type=int)
 
 
 def _build_config(args):
@@ -91,7 +88,7 @@ def _build_config(args):
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         overrides[key.strip()] = raw.strip()
-    for key in ("frames", "seed", "batch", "gamma", "d"):
+    for key in ("frames", "seed"):
         v = getattr(args, key, None)
         if v is not None:
             overrides[key] = v

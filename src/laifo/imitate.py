@@ -1,9 +1,12 @@
 """Training algorithms for the latent adversarial imitation game.
 
 One environment step drives exactly one discriminator, one critic, and
-one actor update (after the warmup period). Only the critic loss trains
-the feature extractor; the discriminator and actor consume latents behind
-a stop-gradient.
+one actor update (after the warmup period) on one agent batch, sampled,
+augmented and encoded once. The discriminator trains on its (z, z') or
+(z, a) rows against a separately sampled expert batch and then scores
+those rows as the imitation reward; the critic regresses on z (a graph,
+so only the critic loss trains the feature extractor); the actor reads
+the critic's z behind a stop-gradient.
 """
 
 from __future__ import annotations
@@ -263,43 +266,28 @@ def update_discriminator(bundle, expert_pairs, agent_pairs, cfg, rng):
     return main.values.item(), pen_value
 
 
-def update_critic(bundle, batch, cfg, sigma, rng, use_env_reward=False):
-    """Regress both critics and the encoder onto the bootstrapped target;
-    the target itself carries no gradient. The reward is the scaled
-    imitation reward (0 without a discriminator), plus the environment
-    reward when `use_env_reward`. Returns the critic loss and the mean of
-    the imitation term alone."""
-    win = augment.random_shift_batch(batch.windows, cfg.pad, rng)
-    nxt = augment.random_shift_batch(batch.next_windows, cfg.pad, rng)
-    z_node = bundle.enc.forward(win)
+def update_critic(bundle, z_node, actions, reward, z_next, cfg, sigma, rng):
+    """Regress both critics, and through the graph latents `z_node` the
+    encoder, onto reward + gamma * min of the target critics at (z_next,
+    a' = actor(z_next) + clipped noise). The caller forms the reward and
+    the latents; the target carries no gradient. Returns the loss."""
     z = z_node.values
-    z_next = bundle.enc.values(nxt)
-    actions = batch.actions.astype(z.dtype)
-    if bundle.disc is not None:
-        right = actions if bundle.pairing == "action" else z_next
-        pairs = np.concatenate([z, right], axis=1)
-        r = cfg.imit_reward_scale * nets.discriminate(bundle.disc, pairs)
-    else:
-        r = np.zeros(len(z))
-    imit_mean = float(r.mean())
-    if use_env_reward:
-        r = r + batch.rewards
     a_next = nets.act(bundle.actor, z_next, sigma, cfg.clip_c, rng)
     q1t, q2t = bundle.critics.values(z_next, a_next, use_target=True)
-    y = tensor((r + cfg.gamma * np.minimum(q1t, q2t))[:, None].astype(z.dtype))
+    y = tensor((reward + cfg.gamma * np.minimum(q1t, q2t))[:, None].astype(z.dtype))
 
     q1, q2 = bundle.critics.forward(z_node, tensor(actions))
     loss = apply("mean", [apply("square", [q1 - y])]) + \
         apply("mean", [apply("square", [q2 - y])])
     bundle.critic_opt.step(backward(loss, bundle.critic_opt.params))
     bundle.critics.soft_update(cfg.tau)
-    return loss.values.item(), imit_mean
+    return loss.values.item()
 
 
-def update_actor(bundle, windows, cfg, sigma, rng):
+def update_actor(bundle, z, cfg, sigma, rng):
     """Ascend min_k Q(z, pi(z) + clipped noise) in the actor parameters
-    only; encoder and critics read but do not move."""
-    z = bundle.enc.values(augment.random_shift_batch(windows, cfg.pad, rng))
+    only, on the critic's latents `z` as plain arrays (read before the
+    critic step, as in DrQ-v2); encoder and critics do not move."""
     pi = bundle.actor.forward(tensor(z))
     eps = rng.normal(0.0, sigma, size=pi.shape)
     if sigma > 0:
@@ -425,7 +413,6 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
                           full_state=fully_obs, with_disc=with_disc)
     buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
     sampler = ExpertWindowSampler(expert_data, cfg.d) if with_disc else None
-    use_env_reward = algo == "rl_plus_videos"
 
     report = TrainReport(algo=algo, env_id=env.env_id, seed=cfg.seed, bundle=bundle)
     if expert_data is not None and expert_data.has_rewards:
@@ -463,14 +450,11 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
             policy.reset(obs)
 
         if t > cfg.warmup:
-            if with_disc:
-                disc_loss, _ = _disc_step(bundle, buffer, sampler, cfg, rng)
-            batch = buffer.sample_stacked(cfg.batch, cfg.d, rng)
-            critic_loss, imit_mean = update_critic(
-                bundle, batch, cfg, sigma_t, rng, use_env_reward)
+            disc_loss, critic_loss, actor_loss, imit_mean = _update(
+                bundle, buffer, sampler, cfg, sigma_t, rng,
+                env_reward=algo == "rl_plus_videos")
             imit_sum += imit_mean
             imit_n += 1
-            actor_loss = update_actor(bundle, batch.windows, cfg, sigma_t, rng)
 
         if t % cfg.eval_interval == 0 or t == frames:
             report.rows.append(eval_row(t))
@@ -483,22 +467,39 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     return report
 
 
-def _disc_step(bundle, buffer, sampler, cfg, rng):
+def _update(bundle, buffer, sampler, cfg, sigma, rng, env_reward):
+    """The update of one step; the batch and its graph die on return.
+    Returns the disc (0 without one), critic and actor losses and the mean
+    imitation reward."""
+    batch = buffer.sample_stacked(cfg.batch, cfg.d, rng)
+    z_node = bundle.enc.forward(augment.random_shift_batch(batch.windows, cfg.pad, rng))
+    z, z_next = z_node.values, bundle.enc.values(
+        augment.random_shift_batch(batch.next_windows, cfg.pad, rng))
+    actions = batch.actions.astype(z.dtype)
+    disc_loss = 0.0
+    if bundle.disc is None:
+        reward = np.zeros(len(z))
+    else:
+        right = actions if bundle.pairing == "action" else z_next
+        pairs = np.concatenate([z, right], axis=1)
+        disc_loss, _ = update_discriminator(
+            bundle, _expert_pairs(bundle, sampler, cfg, rng), pairs, cfg, rng)
+        reward = cfg.imit_reward_scale * nets.discriminate(bundle.disc, pairs)
+    imit_mean = float(reward.mean())
+    if env_reward:
+        reward = reward + batch.rewards
+    critic_loss = update_critic(bundle, z_node, actions, reward, z_next, cfg, sigma, rng)
+    return disc_loss, critic_loss, update_actor(bundle, z, cfg, sigma, rng), imit_mean
+
+
+def _expert_pairs(bundle, sampler, cfg, rng):
+    """(z, a) or (z, z') rows of a freshly sampled, augmented expert batch."""
     with_actions = bundle.pairing == "action"
-    agent = buffer.sample_stacked(cfg.batch, cfg.d, rng)
-    expert = sampler.sample(cfg.batch, rng, with_actions)
-
-    def pairs(batch):
-        # (z, a) or (z, z') rows from independently augmented windows
-        w_t, w_t1 = augment.augment_pair(batch.windows, batch.next_windows,
-                                         cfg.pad, rng)
-        z = bundle.enc.values(w_t)
-        right = (batch.actions.astype(z.dtype) if with_actions
-                 else bundle.enc.values(w_t1))
-        return np.concatenate([z, right], axis=1)
-
-    agent_pairs = pairs(agent)  # first, so the augmentation draws keep their order
-    return update_discriminator(bundle, pairs(expert), agent_pairs, cfg, rng)
+    batch = sampler.sample(cfg.batch, rng, with_actions)
+    z = bundle.enc.values(augment.random_shift_batch(batch.windows, cfg.pad, rng))
+    right = (batch.actions.astype(z.dtype) if with_actions else bundle.enc.values(
+        augment.random_shift_batch(batch.next_windows, cfg.pad, rng)))
+    return np.concatenate([z, right], axis=1)
 
 
 def train_bc(env, expert_data, cfg, steps):

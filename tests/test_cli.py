@@ -191,7 +191,7 @@ def test_cli_bc_writes_run_dir(tmp_path):
     run_dir = tmp_path / "bc"
     code = run(["imitate", "--algo", "bc", "--env", "pointmass-v",
                 "--expert-data", str(data_path), "--out-dir", str(run_dir),
-                "--frames", "4", "--set", "eval_interval=2", "--batch", "4",
+                "--frames", "4", "--set", "eval_interval=2", "--set", "batch=4",
                 "--set", "hidden=8", "--set", "z_dim=4", "--set", "eval_episodes=1"])
     assert code == 0
     for name in ("metrics.csv", "final.ckpt", "config.txt", "meta.json"):
@@ -209,7 +209,7 @@ def test_cli_rl_plus_videos_baseline_writes_run_dir(tmp_path):
     run_dir = tmp_path / "rlv"
     code = run(["imitate", "--algo", "rl_plus_videos", "--env", "pointmass-v",
                 "--expert-data", str(data_path), "--out-dir", str(run_dir),
-                "--set", "imit_reward_scale=0", "--frames", "30", "--batch", "4",
+                "--set", "imit_reward_scale=0", "--frames", "30", "--set", "batch=4",
                 "--set", "hidden=8", "--set", "z_dim=4", "--set", "warmup=10",
                 "--set", "eval_interval=30", "--set", "eval_episodes=1"])
     assert code == 0

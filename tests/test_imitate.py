@@ -3,12 +3,14 @@ import pytest
 
 from laifo import autodiff, imitate, nets
 from laifo.autodiff import apply, backward, finite_diff_check, tensor
-from laifo.envs import FullyObservableWrapper, make_env
+from laifo.envs import FullyObservableWrapper, make_env, make_tabular
 from laifo.expertgen import record
 from laifo.imitate import (Adam, AgentBundle, CapabilityError, Config,
                            build_bundle, gradient_penalty, sigma_schedule, train, update_actor, update_critic,
                            update_discriminator)
 from laifo.replay import Episode, ExpertDataset, ExpertWindowSampler, ReplayBuffer
+from laifo.theory import (TWO_LN_2, LatentScheme, enumerate_reachable, f_divergence,
+                          occupancies, random_policy)
 
 
 def small_cfg(**kw):
@@ -190,6 +192,43 @@ def test_update_discriminator_separates_clouds_and_penalty_tames_gradients():
     assert penalty_dispersion(b_pen) < penalty_dispersion(b_plain)
 
 
+def _fit_to_latent_occupancies(penalty_weight, steps=1500, n_rows=400):
+    """Train a discriminator through `update_discriminator` on fixed
+    one-hot (z, z') rows sampled from two random policies' exact rho_zz on
+    a tabular MDP. Returns the final main loss, the empirical row
+    histograms of the expert and agent rows, and the balanced accuracy."""
+    pomdp = make_tabular("mdp", 4, 2, seed=3)
+    scheme = LatentScheme(1)
+    rng = np.random.default_rng(4)
+    n_z = len(enumerate_reachable(pomdp, scheme)[1])
+    rows, hists = [], []
+    for _ in range(2):  # expert, then agent
+        rho = occupancies(pomdp, scheme, random_policy(n_z, 2, rng)).rho_zz.ravel()
+        idx = rng.choice(rho.size, size=n_rows, p=rho / rho.sum())
+        rows.append(np.concatenate([np.eye(n_z)[idx // n_z], np.eye(n_z)[idx % n_z]], 1))
+        hists.append(np.bincount(idx, minlength=rho.size) / n_rows)
+    disc = nets.Mlp(np.random.default_rng(5), [2 * n_z, 32, 32, 1], name="disc")
+    bundle = AgentBundle(actor=None, critics=None, enc=None, disc=disc,
+                         disc_opt=Adam(disc.params(), 1e-2))
+    cfg = small_cfg(penalty_weight=penalty_weight)
+    for _ in range(steps):
+        main, _ = update_discriminator(bundle, rows[0], rows[1], cfg, rng)
+    acc = 0.5 * (np.mean(nets.discriminate(disc, rows[0]) > 0.5)
+                 + np.mean(nets.discriminate(disc, rows[1]) < 0.5))
+    return main, hists[0], hists[1], acc
+
+
+def test_update_discriminator_reaches_the_bayes_optimal_loss_on_exact_occupancies():
+    # at D* = p_E / (p_E + p_A) the main loss is 2 ln 2 - JS(p_E, p_A) of the
+    # rows' histograms (JS as the sum of two KLs), the least any D attains;
+    # no classifier separates the rows better than their TV allows
+    main, p_e, p_a, acc = _fit_to_latent_occupancies(penalty_weight=0.0)
+    optimum = TWO_LN_2 - f_divergence("js", p_e, p_a)
+    assert 0.05 < f_divergence("js", p_e, p_a) < 1.0  # neither equal nor disjoint
+    assert optimum - 1e-9 <= main < optimum + 0.01
+    assert 2 * acc - 1 <= f_divergence("tv", p_e, p_a) + 1e-12
+
+
 def test_update_discriminator_leaves_encoder_untouched():
     cfg = small_cfg()
     bundle = _bundle(cfg, seed=11)
@@ -222,19 +261,25 @@ def _toy_batch(rng, cfg, obs_dim=2, act_dim=2, n=8):
     )
 
 
+def _latents(bundle, batch):
+    """What the training loop hands the critic: graph latents of the
+    windows, the actions in their dtype, and plain successor latents."""
+    z_node = bundle.enc.forward(batch.windows)
+    return (z_node, batch.actions.astype(z_node.values.dtype),
+            bundle.enc.values(batch.next_windows))
+
+
 def test_update_critic_gamma_zero_targets_reward_only():
     cfg = small_cfg(gamma=0.0)
     bundle = _bundle(cfg, seed=13)
     rng = np.random.default_rng(14)
     batch = _toy_batch(rng, cfg)
-    z = bundle.enc.values(batch.windows)
-    z_next = bundle.enc.values(batch.next_windows)
-    r = nets.discriminate(bundle.disc, np.concatenate([z, z_next], axis=1))
+    z_node, actions, z_next = _latents(bundle, batch)
     # critics have zero-initialized heads, so loss = mean(r^2) * 2 exactly
-    loss, imit_mean = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng)
-    assert loss == pytest.approx(2 * np.mean(r ** 2), rel=1e-12)
-    assert imit_mean == pytest.approx(r.mean())
-    assert loss >= 0.0
+    loss = update_critic(bundle, z_node, actions, batch.rewards, z_next, cfg,
+                         sigma=0.1, rng=rng)
+    assert loss == pytest.approx(2 * np.mean(batch.rewards ** 2), rel=1e-12)
+    assert loss > 0.0
 
 
 def test_update_critic_matches_hand_computed_loss():
@@ -247,19 +292,17 @@ def test_update_critic_matches_hand_computed_loss():
             p.values[...] = np.random.default_rng(17).standard_normal(p.shape) * 0.1
     bundle.critics.soft_update(1.0)
     batch = _toy_batch(rng, cfg)
+    z_node, actions, z_next = _latents(bundle, batch)
 
-    z = bundle.enc.values(batch.windows)
-    z_next = bundle.enc.values(batch.next_windows)
-    r = nets.discriminate(bundle.disc, np.concatenate([z, z_next], axis=1))
     rng_clone = np.random.default_rng(18)
     a_next = nets.act(bundle.actor, z_next, 0.1, cfg.clip_c, rng_clone)
     q1t, q2t = bundle.critics.values(z_next, a_next, use_target=True)
-    y = r + cfg.gamma * np.minimum(q1t, q2t)
-    q1, q2 = bundle.critics.values(z, batch.actions.astype(np.float64))
+    y = batch.rewards + cfg.gamma * np.minimum(q1t, q2t)
+    q1, q2 = bundle.critics.values(z_node.values, actions)
     expected = np.mean((q1 - y) ** 2) + np.mean((q2 - y) ** 2)
 
-    loss, _ = update_critic(bundle, batch, cfg, sigma=0.1,
-                            rng=np.random.default_rng(18))
+    loss = update_critic(bundle, z_node, actions, batch.rewards, z_next, cfg,
+                         sigma=0.1, rng=np.random.default_rng(18))
     assert loss == pytest.approx(expected, abs=1e-10)
 
 
@@ -271,14 +314,16 @@ def test_update_critic_trains_encoder_and_actor_update_does_not():
     enc_before = [p.values.copy() for p in bundle.enc.params()]
     # two steps: the zero-initialized critic heads pass no gradient to the
     # encoder until they have moved once
-    update_critic(bundle, batch, cfg, sigma=0.2, rng=rng)
-    update_critic(bundle, batch, cfg, sigma=0.2, rng=rng)
+    for _ in range(2):
+        z_node, actions, z_next = _latents(bundle, batch)
+        update_critic(bundle, z_node, actions, batch.rewards, z_next, cfg,
+                      sigma=0.2, rng=rng)
     assert any(not np.array_equal(p.values, b)
                for p, b in zip(bundle.enc.params(), enc_before))
 
     enc_before = [p.values.copy() for p in bundle.enc.params()]
     crit_before = [p.values.copy() for p in bundle.critics.params()]
-    update_actor(bundle, batch.windows, cfg, sigma=0.2, rng=rng)
+    update_actor(bundle, bundle.enc.values(batch.windows), cfg, sigma=0.2, rng=rng)
     for p, b in zip(bundle.enc.params(), enc_before):
         assert np.array_equal(p.values, b)
     for p, b in zip(bundle.critics.params(), crit_before):
@@ -291,8 +336,8 @@ def test_update_actor_flat_critic_gives_zero_gradient():
     for p in bundle.critics.params():
         p.values[...] = 0.0  # constant critics
     before = [p.values.copy() for p in bundle.actor.params()]
-    update_actor(bundle, _toy_batch(np.random.default_rng(22), cfg).windows,
-                 cfg, sigma=0.0, rng=np.random.default_rng(23))
+    z = bundle.enc.values(_toy_batch(np.random.default_rng(22), cfg).windows)
+    update_actor(bundle, z, cfg, sigma=0.0, rng=np.random.default_rng(23))
     # Adam with exactly zero gradient leaves parameters unchanged
     for p, b in zip(bundle.actor.params(), before):
         assert np.array_equal(p.values, b)
@@ -313,13 +358,13 @@ def test_update_actor_converges_to_quadratic_optimum():
         def params(self):
             return []
 
-    bundle = AgentBundle(actor=actor, critics=QuadraticCritics(),
-                         enc=nets.FlattenEncoder((2,)),
+    # the actor reads latents, never the encoder
+    bundle = AgentBundle(actor=actor, critics=QuadraticCritics(), enc=None,
                          actor_opt=Adam(actor.params(), cfg.lr))
-    windows = rng.standard_normal((8, 1, 2)).astype(np.float32)
+    z = rng.standard_normal((8, 2))
     for _ in range(500):
-        update_actor(bundle, windows, cfg, sigma=0.0, rng=rng)
-    out = actor.values(windows.reshape(8, 2))
+        update_actor(bundle, z, cfg, sigma=0.0, rng=rng)
+    out = actor.values(z)
     assert np.all(np.abs(out - 0.3) < 0.01)
 
 
@@ -327,7 +372,7 @@ def test_update_actor_differentiates_only_the_actor(monkeypatch):
     cfg = small_cfg()
     bundle = _bundle(cfg, encoder=False, obs=(2,), seed=36)
     rng = np.random.default_rng(37)
-    windows = rng.standard_normal((8, 1, 2))
+    z = rng.standard_normal((8, 2))
     calls = []
     matmul = autodiff._EagerExec.matmul
 
@@ -337,7 +382,7 @@ def test_update_actor_differentiates_only_the_actor(monkeypatch):
 
     monkeypatch.setattr(autodiff._EagerExec, "matmul", counted)
     critics_before = [p.values.copy() for p in bundle.critics.params()]
-    update_actor(bundle, windows, cfg, sigma=0.1, rng=rng)
+    update_actor(bundle, z, cfg, sigma=0.1, rng=rng)
     # critics: dX of 3 layers each; actor: dW of 3 layers and dX of the
     # upper 2 (its input is a constant)
     assert len(calls) == 11
@@ -345,26 +390,60 @@ def test_update_actor_differentiates_only_the_actor(monkeypatch):
                for p, q in zip(bundle.critics.params(), critics_before))
 
 
+class _GradientRecorder:
+    """An optimizer that keeps the gradients it is handed and moves nothing."""
+
+    def __init__(self, params):
+        self.params = params
+        self.grads = None
+
+    def step(self, grads):
+        self.grads = grads
+
+
 def test_losses_pass_finite_difference_checks():
-    # acceptance-style gradient check on every loss, tiny nets
-    cfg = small_cfg(penalty_weight=10.0)
+    # the gradient each update hands its optimizer against central
+    # differences of the loss it returns, on tiny nets; the rows and
+    # latents come from one encoding of one batch, as in the training loop
+    cfg = small_cfg(penalty_weight=10.0, hidden=4, tau=0.0)
     bundle = _bundle(cfg, seed=25)
     rng = np.random.default_rng(26)
+    for p in bundle.actor.params() + bundle.critics.params():
+        if not p.values.any():  # zero-initialized heads pass no gradient
+            p.values[...] = rng.standard_normal(p.shape) * 0.1
     batch = _toy_batch(rng, cfg, n=4)
-    z = bundle.enc.values(batch.windows)
-    z_next = bundle.enc.values(batch.next_windows)
-    expert_pairs = np.concatenate([z_next, z], axis=1)
+    z_node, actions, z_next = _latents(bundle, batch)
+    z = z_node.values
     agent_pairs = np.concatenate([z, z_next], axis=1)
-
-    def disc_loss(_):
-        d_e = apply("sigmoid", [bundle.disc.forward(expert_pairs)])
-        d_a = apply("sigmoid", [bundle.disc.forward(agent_pairs)])
-        main = -(apply("mean", [apply("log", [d_e])])
-                 + apply("mean", [apply("log", [1.0 - d_a])]))
-        return main + gradient_penalty(bundle.disc, expert_pairs, agent_pairs,
-                                       cfg.penalty_weight, np.random.default_rng(1))
-
-    assert finite_diff_check(disc_loss, bundle.disc.params(), eps=1e-5) < 1e-4
+    expert_pairs = np.concatenate([z_next, z], axis=1)
+    losses = {
+        "disc_opt": lambda: sum(update_discriminator(
+            bundle, expert_pairs, agent_pairs, cfg, np.random.default_rng(1))),
+        "critic_opt": lambda: update_critic(
+            bundle, bundle.enc.forward(batch.windows), actions, batch.rewards,
+            z_next, cfg, 0.1, np.random.default_rng(2)),
+        "actor_opt": lambda: update_actor(bundle, z, cfg, 0.1,
+                                          np.random.default_rng(3)),
+    }
+    eps = 1e-5
+    for name, loss in losses.items():
+        opt = _GradientRecorder(getattr(bundle, name).params)
+        setattr(bundle, name, opt)
+        loss()
+        worst = 0.0
+        for p, grad in zip(opt.params, opt.grads, strict=True):
+            flat = p.values.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = loss()
+                flat[i] = orig - eps
+                lo = loss()
+                flat[i] = orig
+                fd = (hi - lo) / (2 * eps)
+                ad = grad.reshape(-1)[i]
+                worst = max(worst, abs(ad - fd) / max(1.0, abs(ad), abs(fd)))
+        assert worst < 1e-4, name
 
 
 def _linear_expert_dataset(rng, n_episodes=6, length=12, k=(0.8, -0.5)):
@@ -488,31 +567,33 @@ def test_learners_on_the_privileged_state_flatten_one_frame():
         assert report.bundle.enc.z_dim == 4
 
 
-def test_train_loop_counts_one_update_per_step():
+def test_train_loop_counts_one_update_per_step(monkeypatch):
+    # one agent sample and four batch encoder passes per update: the
+    # agent's windows (graph) and successors, and the expert's two
     env = make_env("pointmass-v")
     ds = _linear_expert_dataset(np.random.default_rng(31), n_episodes=4)
     cfg = small_cfg(frames=60, warmup=20, eval_interval=60, batch=4)
-    calls = {"disc": 0, "critic": 0, "actor": 0}
-    orig_disc, orig_critic, orig_actor = (imitate.update_discriminator,
-                                          imitate.update_critic,
-                                          imitate.update_actor)
+    calls = dict.fromkeys(("disc", "critic", "actor", "sample", "enc_passes"), 0)
 
-    def count(name, fn):
+    def count(name, fn, batched=False):
         def wrapper(*a, **kw):
-            calls[name] += 1
+            # batch-1 encoder passes are acting, not updates
+            if not batched or len(a[1]) > 1:
+                calls[name] += 1
             return fn(*a, **kw)
         return wrapper
 
-    imitate.update_discriminator = count("disc", orig_disc)
-    imitate.update_critic = count("critic", orig_critic)
-    imitate.update_actor = count("actor", orig_actor)
-    try:
-        train("laifo", env, ds, cfg)
-    finally:
-        imitate.update_discriminator = orig_disc
-        imitate.update_critic = orig_critic
-        imitate.update_actor = orig_actor
-    assert calls == {"disc": 40, "critic": 40, "actor": 40}
+    for name, attr in (("disc", "update_discriminator"), ("critic", "update_critic"),
+                       ("actor", "update_actor")):
+        monkeypatch.setattr(imitate, attr, count(name, getattr(imitate, attr)))
+    monkeypatch.setattr(ReplayBuffer, "sample_stacked",
+                        count("sample", ReplayBuffer.sample_stacked))
+    for attr in ("forward", "values"):
+        monkeypatch.setattr(nets.VectorEncoder, attr, count(
+            "enc_passes", getattr(nets.VectorEncoder, attr), batched=True))
+    train("laifo", env, ds, cfg)
+    assert calls == {"disc": 40, "critic": 40, "actor": 40, "sample": 40,
+                     "enc_passes": 160}
 
 
 def test_imitation_reward_bounds_and_target_bound():
@@ -527,20 +608,34 @@ def test_imitation_reward_bounds_and_target_bound():
     assert r.max() / (1 - 0.99) <= 100.0 + 1e-9
 
 
-def test_rl_plus_videos_uses_env_reward():
-    cfg = small_cfg(gamma=0.0)
-    bundle = _bundle(cfg, seed=34)
-    rng = np.random.default_rng(35)
-    batch = _toy_batch(rng, cfg)
-    z = bundle.enc.values(batch.windows)
-    z_next = bundle.enc.values(batch.next_windows)
-    r_imit = nets.discriminate(bundle.disc, np.concatenate([z, z_next], axis=1))
-    loss, imit_mean = update_critic(bundle, batch, cfg, sigma=0.1, rng=rng,
-                                    use_env_reward=True)
-    y = r_imit + batch.rewards
-    assert loss == pytest.approx(2 * np.mean(y ** 2), rel=1e-9)
-    # the reported mean is the imitation term alone
-    assert imit_mean == pytest.approx(np.mean(r_imit), rel=1e-12)
+def test_rl_plus_videos_uses_env_reward(monkeypatch):
+    # the critic's reward is the scaled imitation reward on the batch's own
+    # rows plus the environment reward; imit_reward_mean is the imitation
+    # term alone
+    ds = _linear_expert_dataset(np.random.default_rng(30), n_episodes=4)
+    cfg = small_cfg(frames=30, warmup=20, eval_interval=30, imit_reward_scale=0.5)
+    batches, scores, rewards = [], [], []
+
+    def recorder(fn, out, pick):
+        def wrapper(*a, **kw):
+            result = fn(*a, **kw)
+            out.append(pick(a, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ReplayBuffer, "sample_stacked", recorder(
+        ReplayBuffer.sample_stacked, batches, lambda a, res: res))
+    monkeypatch.setattr(nets, "discriminate", recorder(
+        nets.discriminate, scores, lambda a, res: res))
+    monkeypatch.setattr(imitate, "update_critic", recorder(
+        imitate.update_critic, rewards, lambda a, res: a[3]))
+    report = train("rl_plus_videos", make_env("pointmass-v"), ds, cfg)
+    assert len(batches) == len(scores) == len(rewards) == 10
+    assert any(b.rewards.any() for b in batches)
+    for batch, score, reward in zip(batches, scores, rewards):
+        assert np.array_equal(reward, 0.5 * score + batch.rewards)
+    assert report.rows[-1].imit_reward_mean == pytest.approx(
+        np.mean([0.5 * score.mean() for score in scores]), rel=1e-12)
 
 
 class _StandStill:
