@@ -18,7 +18,7 @@ from . import expertgen, imitate, nets, replay, theory
 from .envs import FullyObservableWrapper, make_env, make_tabular
 from .imitate import CapabilityError, Config
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(Config)}
+_CONFIG_FIELDS = tuple(f.name for f in fields(Config))
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -68,9 +68,17 @@ def _dataset_hash(path):
     return h.hexdigest()
 
 
-def _write_meta(out_dir, **kw):
+def _write_run_dir(out_dir, report, ckpt, **meta):
+    """A run directory: `metrics.csv`, the trained bundle as `ckpt`,
+    `config.txt` (the configuration as the run resolved it) and
+    `meta.json` (the `meta` entries)."""
+    os.makedirs(out_dir, exist_ok=True)
+    report.to_csv(os.path.join(out_dir, "metrics.csv"))
+    report.bundle.save(os.path.join(out_dir, ckpt))
+    with open(os.path.join(out_dir, "config.txt"), "w") as f:
+        f.writelines(f"{key}={getattr(report.cfg, key)}\n" for key in _CONFIG_FIELDS)
     with open(os.path.join(out_dir, "meta.json"), "w") as f:
-        json.dump(kw, f, indent=2, sort_keys=True)
+        json.dump(meta, f, indent=2, sort_keys=True)
 
 
 def _config_flags(parser):
@@ -115,11 +123,8 @@ def cmd_train_expert(args):
     cfg = _build_config(args)
     env = make_env(args.env, seed=cfg.seed, reward_mode=args.reward_mode)
     report = expertgen.train_expert(env, cfg.frames, cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
-    report.to_csv(os.path.join(args.out_dir, "metrics.csv"))
-    report.bundle.save(os.path.join(args.out_dir, "expert.ckpt"))
-    _write_meta(args.out_dir, kind="expert", env=args.env, seed=cfg.seed,
-                expert_score=report.expert_score)
+    _write_run_dir(args.out_dir, report, "expert.ckpt", kind="expert", env=args.env,
+                   seed=cfg.seed, expert_score=report.expert_score)
     print(f"expert score {report.expert_score:.3f} "
           f"-> {args.out_dir}/expert.ckpt")
     return 0
@@ -143,12 +148,12 @@ def cmd_imitate(args):
     cfg = _build_config(args)
     env = make_env(args.env, seed=cfg.seed, reward_mode=args.reward_mode)
     expert_data = replay.load_dataset(args.expert_data)
-    report = imitate.train(args.algo, env, expert_data, cfg, out_dir=args.out_dir)
+    report = imitate.train(args.algo, env, expert_data, cfg)
     meta = {"kind": "imitate", "algo": args.algo, "env": args.env, "seed": cfg.seed,
             "expert_data_sha256": _dataset_hash(args.expert_data)}
     if report.expert_score is not None:
         meta["expert_score"] = report.expert_score
-    _write_meta(args.out_dir, **meta)
+    _write_run_dir(args.out_dir, report, "final.ckpt", **meta)
     print(f"final return {report.final_return():.3f} -> {args.out_dir}")
     return 0
 

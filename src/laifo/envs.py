@@ -167,8 +167,6 @@ class FullyObservableWrapper:
     def __init__(self, env):
         self.env = env
         self.act_dim = env.act_dim
-        self.episode_limit = env.episode_limit
-        self.r_max = env.r_max
 
     @property
     def env_id(self):

@@ -6,13 +6,14 @@ augmented and encoded once. The discriminator trains on its (z, z') or
 (z, a) rows against a separately sampled expert batch and then scores
 those rows as the imitation reward; the critic regresses on z (a graph,
 so only the critic loss trains the feature extractor); the actor reads
-the critic's z behind a stop-gradient.
+the critic's z behind a stop-gradient. `bc` runs in the same loop but
+never acts: its step regresses the actor, and through it the encoder,
+onto the expert's actions from an unaugmented expert batch.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -26,9 +27,6 @@ from .replay import ExpertWindowSampler, ReplayBuffer
 ALGOS = ("laifo", "lail", "dacfo", "dac", "bc", "rl_plus_videos")
 _ACTION_ALGOS = ("lail", "dac", "bc")
 _FULL_STATE_ALGOS = ("dac", "dacfo")
-
-METRICS_HEADER = ("frame", "episode", "eval_return", "disc_loss", "critic_loss",
-                  "actor_loss", "imit_reward_mean", "wall_clock_s", "seed")
 
 
 class CapabilityError(ValueError):
@@ -64,6 +62,10 @@ class Config:
         self.validate()
 
     def validate(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{fld.name} must be finite, got {value}")
         checks = (
             (0.0 <= self.gamma < 1.0, "gamma must satisfy 0 <= gamma < 1"),
             (self.batch >= 1, "batch must be >= 1"),
@@ -113,11 +115,14 @@ class ReportRow:
     seed: int
 
 
+METRICS_HEADER = tuple(fld.name for fld in fields(ReportRow))
+
+
 @dataclass
 class TrainReport:
     algo: str
     env_id: str  # the make_env id, e.g. "pointmass-v"
-    seed: int
+    cfg: Config  # as the run resolved it: its frame budget, and d = 1 on the state
     rows: list[ReportRow] = field(default_factory=list)
     expert_score: float | None = None
     bundle: object = field(default=None, repr=False, compare=False)
@@ -170,7 +175,8 @@ class AgentBundle:
     learners), actor, twin critics, discriminator (a `nets.Mlp` over
     (z, right) rows, right being z' or a as `pairing` says; None for
     behavioral cloning), and their optimizers; the critic optimizer also
-    steps the encoder."""
+    steps the encoder (for `bc`, `train` gives the actor's optimizer the
+    encoder instead)."""
 
     actor: nets.Actor
     critics: nets.TwinCritics
@@ -382,7 +388,7 @@ def _check_capabilities(algo, env, expert_data):
     return env
 
 
-def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
+def train(algo, env, expert_data, cfg, *, frames=None):
     """Run one training job and return its TrainReport.
 
     `env` must come from `envs.make_env`. It is consumed for interaction;
@@ -391,37 +397,37 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
     (`dac` and `dacfo` wrap theirs) flattens one privileged state (d = 1).
     `rl_plus_videos` adds the environment reward and needs no data; that
     is the expert. A discriminator needs data and a nonzero
-    `imit_reward_scale`.
+    `imit_reward_scale`. `bc` never acts, so it never steps or resets
+    `env`: each of its steps is one `_bc_update`.
     `frames`, when given, replaces `cfg.frames`; it counts environment
     frames, or gradient steps for `bc`. A budget of 0 only evaluates the
-    initial policy, in one row at frame 0.
+    initial policy, in one row at frame 0. Writing a run directory is the
+    caller's job; the report carries the resolved configuration for it.
     """
     env = _check_capabilities(algo, env, expert_data)
     fully_obs = isinstance(env, FullyObservableWrapper)
     frames = cfg.frames if frames is None else frames
     cfg = replace(cfg, frames=max(frames, 1), d=1 if fully_obs else cfg.d)
-    if algo == "bc":
-        report = train_bc(env, expert_data, cfg, frames)
-        if out_dir is not None:
-            _write_run_dir(out_dir, report, cfg)
-        return report
-
-    pairing = "action" if algo in ("lail", "dac") else "transition"
+    acts = algo != "bc"
+    pairing = "action" if algo in _ACTION_ALGOS else "transition"
     rng = np.random.default_rng(cfg.seed)
-    with_disc = expert_data is not None and cfg.imit_reward_scale != 0
+    with_disc = acts and expert_data is not None and cfg.imit_reward_scale != 0
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, pairing, rng,
                           full_state=fully_obs, with_disc=with_disc)
-    buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
-    sampler = ExpertWindowSampler(expert_data, cfg.d) if with_disc else None
+    sampler = ExpertWindowSampler(expert_data, cfg.d) if with_disc or not acts else None
 
-    report = TrainReport(algo=algo, env_id=env.env_id, seed=cfg.seed, bundle=bundle)
+    report = TrainReport(algo=algo, env_id=env.env_id, cfg=cfg, bundle=bundle)
     if expert_data is not None and expert_data.has_rewards:
         report.expert_score = expert_data.mean_return()
 
-    obs = env.reset(seed=cfg.seed)
-    buffer.push(obs, None)
-    policy = WindowPolicy(bundle, cfg.d)
-    policy.reset(obs)
+    if acts:
+        buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))
+        obs = env.reset(seed=cfg.seed)
+        buffer.push(obs, None)
+        policy = WindowPolicy(bundle, cfg.d)
+        policy.reset(obs)
+    else:  # bc's actor regresses through the encoder
+        bundle.actor_opt = Adam(bundle.actor.params() + bundle.enc.params(), cfg.lr)
     episode = 0
     start = time.perf_counter()
     disc_loss = critic_loss = actor_loss = 0.0
@@ -435,35 +441,33 @@ def train(algo, env, expert_data, cfg, out_dir=None, *, frames=None):
             wall_clock_s=time.perf_counter() - start, seed=cfg.seed)
 
     for t in range(1, frames + 1):
-        sigma_t = sigma_schedule(cfg, t)
-        if t <= cfg.warmup:
-            a = rng.uniform(-1.0, 1.0, env.act_dim)
+        if not acts:
+            actor_loss = _bc_update(bundle, sampler, cfg, rng)
         else:
-            a = nets.act(bundle.actor, policy.latent(), sigma_t, None, rng)[0]
-        obs, r, done = env.step(a)
-        buffer.push(obs, a, r, done)
-        policy.observe(obs)
-        if done:
-            episode += 1
-            obs = env.reset()
-            buffer.push(obs, None)
-            policy.reset(obs)
+            sigma_t = sigma_schedule(cfg, t)
+            a = (rng.uniform(-1.0, 1.0, env.act_dim) if t <= cfg.warmup else
+                 nets.act(bundle.actor, policy.latent(), sigma_t, None, rng)[0])
+            obs, r, done = env.step(a)
+            buffer.push(obs, a, r, done)
+            policy.observe(obs)
+            if done:
+                episode += 1
+                obs = env.reset()
+                buffer.push(obs, None)
+                policy.reset(obs)
 
-        if t > cfg.warmup:
-            disc_loss, critic_loss, actor_loss, imit_mean = _update(
-                bundle, buffer, sampler, cfg, sigma_t, rng,
-                env_reward=algo == "rl_plus_videos")
-            imit_sum += imit_mean
-            imit_n += 1
+            if t > cfg.warmup:
+                disc_loss, critic_loss, actor_loss, imit_mean = _update(
+                    bundle, buffer, sampler, cfg, sigma_t, rng,
+                    env_reward=algo == "rl_plus_videos")
+                imit_sum += imit_mean
+                imit_n += 1
 
         if t % cfg.eval_interval == 0 or t == frames:
             report.rows.append(eval_row(t))
             imit_sum, imit_n = 0.0, 0
     if frames == 0:
         report.rows.append(eval_row(0))
-
-    if out_dir is not None:
-        _write_run_dir(out_dir, report, cfg)
     return report
 
 
@@ -502,47 +506,12 @@ def _expert_pairs(bundle, sampler, cfg, rng):
     return np.concatenate([z, right], axis=1)
 
 
-def train_bc(env, expert_data, cfg, steps):
-    """Supervised regression of expert actions from observation windows,
-    for `steps` gradient steps."""
-    rng = np.random.default_rng(cfg.seed)
-    bundle = build_bundle(cfg, env.obs_shape, env.act_dim, "action", rng,
-                          full_state=isinstance(env, FullyObservableWrapper),
-                          with_disc=False)
-    sampler = ExpertWindowSampler(expert_data, cfg.d)
-    params = bundle.actor.params() + bundle.enc.params()
-    opt = Adam(params, cfg.lr)
-    report = TrainReport(algo="bc", env_id=env.env_id, seed=cfg.seed, bundle=bundle)
-    if expert_data.has_rewards:
-        report.expert_score = expert_data.mean_return()
-    start = time.perf_counter()
-    loss_value = 0.0
-
-    def eval_row(step):
-        return ReportRow(
-            frame=step, episode=0, eval_return=_evaluate_bundle(env, bundle, cfg),
-            disc_loss=0.0, critic_loss=0.0, actor_loss=loss_value,
-            imit_reward_mean=0.0, wall_clock_s=time.perf_counter() - start,
-            seed=cfg.seed)
-
-    for step in range(1, steps + 1):
-        batch = sampler.sample(cfg.batch, rng, with_actions=True)
-        pred = bundle.actor.forward(bundle.enc.forward(batch.windows))
-        target = tensor(batch.actions.astype(cfg.dtype))
-        loss = apply("mean", [apply("square", [pred - target])])
-        opt.step(backward(loss, opt.params))
-        loss_value = loss.values.item()
-        if step % cfg.eval_interval == 0 or step == steps:
-            report.rows.append(eval_row(step))
-    if steps == 0:
-        report.rows.append(eval_row(0))
-    return report
-
-
-def _write_run_dir(out_dir, report, cfg):
-    os.makedirs(out_dir, exist_ok=True)
-    report.to_csv(os.path.join(out_dir, "metrics.csv"))
-    report.bundle.save(os.path.join(out_dir, "final.ckpt"))
-    with open(os.path.join(out_dir, "config.txt"), "w") as f:
-        for fld in fields(Config):
-            f.write(f"{fld.name}={getattr(cfg, fld.name)}\n")
+def _bc_update(bundle, sampler, cfg, rng):
+    """bc's step: regress the expert's actions from its unaugmented windows
+    through the encoder and the actor. Returns the loss."""
+    batch = sampler.sample(cfg.batch, rng, with_actions=True)
+    pred = bundle.actor.forward(bundle.enc.forward(batch.windows))
+    target = tensor(batch.actions.astype(cfg.dtype))
+    loss = apply("mean", [apply("square", [pred - target])])
+    bundle.actor_opt.step(backward(loss, bundle.actor_opt.params))
+    return loss.values.item()

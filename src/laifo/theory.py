@@ -51,7 +51,7 @@ class LatentScheme:
         return window[1:] + (x_new,) if self.k > 1 else (x_new,)
 
 
-def _check_sizes(pomdp, scheme):
+def _check_sizes(pomdp):
     if pomdp.n_states > MAX_STATES or pomdp.n_obs > MAX_STATES:
         raise ValueError(f"|S| and |X| are capped at {MAX_STATES} for dense solves")
     if pomdp.n_actions > MAX_ACTIONS:
@@ -69,7 +69,7 @@ _Reach = namedtuple("_Reach", "pairs windows pair_index window_index "
 def _reach(pomdp, scheme):
     """Breadth-first search over (state, window) pairs from the initial
     ones, exploring every action (a policy-independent superset)."""
-    _check_sizes(pomdp, scheme)
+    _check_sizes(pomdp)
     t, u = pomdp.transition, pomdp.observation
     t_supp = [[np.nonzero(t[s, a])[0] for a in range(pomdp.n_actions)]
               for s in range(pomdp.n_states)]

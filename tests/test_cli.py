@@ -248,6 +248,20 @@ def test_cli_bc_without_steps_exits_1(tmp_path, capsys, steps):
     assert not run_dir.exists()
 
 
+def test_cli_train_expert_writes_resolved_config(tmp_path):
+    # the expert's run directory is written like an imitation run's: its
+    # config.txt holds the resolved budget and the one privileged state
+    exp_dir = tmp_path / "expert"
+    assert run(["train-expert", "--env", "pointmass-v", "--out-dir", str(exp_dir),
+                "--frames", "2", "--set", "d=3", "--set", "batch=8", "--set", "hidden=8",
+                "--set", "eval_episodes=1"]) == 0
+    assert sorted(p.name for p in exp_dir.iterdir()) == [
+        "config.txt", "expert.ckpt", "meta.json", "metrics.csv"]
+    lines = (exp_dir / "config.txt").read_text().splitlines()
+    assert [line.split("=")[0] for line in lines] == list(cli._CONFIG_FIELDS)
+    assert "frames=2" in lines and "d=1" in lines and "batch=8" in lines
+
+
 def test_cli_record_privileged_stores_states(tmp_path):
     exp_dir = tmp_path / "expert"
     assert run(["train-expert", "--env", "pointmass-v", "--out-dir", str(exp_dir),
@@ -275,7 +289,13 @@ _BAD_SETTINGS = [("eval_interval=0", "eval_interval must be >= 1"),
                  ("sigma_decay_frames=-1", "sigma_decay_frames must be >= 0"),
                  ("warmup=-5", "warmup must be >= 0"),
                  ("lr=-1", "lr must be > 0"),
-                 ("disc_lr=0", "disc_lr must be > 0")]
+                 ("disc_lr=0", "disc_lr must be > 0"),
+                 ("lr=inf", "lr must be finite, got inf"),
+                 ("imit_reward_scale=nan", "imit_reward_scale must be finite, got nan"),
+                 ("disc_lr=inf", "disc_lr must be finite, got inf"),
+                 ("sigma_end=inf", "sigma_end must be finite, got inf"),
+                 ("penalty_weight=inf", "penalty_weight must be finite, got inf"),
+                 ("clip_c=inf", "clip_c must be finite, got inf")]
 
 
 @pytest.mark.parametrize("setting, message", _BAD_SETTINGS,

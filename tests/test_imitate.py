@@ -42,7 +42,10 @@ def test_config_validation():
     for key, value in (("eval_interval", 0), ("eval_interval", -5), ("z_dim", 0),
                        ("hidden", 0), ("sigma_decay_frames", -1), ("frames", 0),
                        ("frames", -3), ("warmup", -5), ("lr", 0.0), ("lr", -1.0),
-                       ("disc_lr", 0.0), ("disc_lr", -1.0)):
+                       ("disc_lr", 0.0), ("disc_lr", -1.0), ("lr", float("inf")),
+                       ("imit_reward_scale", float("nan")), ("disc_lr", float("inf")),
+                       ("sigma_end", float("inf")), ("penalty_weight", float("inf")),
+                       ("clip_c", float("inf"))):
         with pytest.raises(ValueError, match=key):
             Config(**{key: value})
 
@@ -467,6 +470,20 @@ def test_bc_recovers_linear_policy():
     pred = report.bundle.actor.values(report.bundle.enc.values(batch.windows))
     mse = float(np.mean((pred - batch.actions) ** 2))
     assert mse < 1e-3
+
+
+def test_bc_never_touches_its_environment():
+    # bc only regresses on the data; evaluation runs on fresh copies
+    env = make_env("pointmass-v")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bc stepped or reset its environment")
+
+    env.step = env.reset = refuse
+    ds = _linear_expert_dataset(np.random.default_rng(30))
+    report = train("bc", env, ds, small_cfg(eval_interval=2), frames=4)
+    assert [(r.frame, r.episode) for r in report.rows] == [(2, 0), (4, 0)]
+    assert all(r.actor_loss > 0 and r.critic_loss == 0.0 for r in report.rows)
 
 
 @pytest.mark.parametrize("algo", ["bc", "laifo"])
