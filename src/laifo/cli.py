@@ -10,7 +10,6 @@ import json
 import os
 import sys
 from dataclasses import fields
-from functools import partial
 
 import numpy as np
 
@@ -116,7 +115,7 @@ def _load_state_policy(ckpt_path, env):
     actor = nets.Actor(np.random.default_rng(0), env.state_dim, env.act_dim,
                        hidden=first.shape[1])
     nets.load_into([actor], loaded)
-    return expertgen.StatePolicy(imitate.AgentBundle(actor=actor, critics=None, enc=None))
+    return expertgen.StatePolicy(imitate.AgentBundle(actor=actor))
 
 
 def cmd_train_expert(args):
@@ -180,9 +179,10 @@ def verify_instances(claim, n_instances, seed):
         n_a = int(rng.integers(a_range[0], min(a_range[1], n_s) + 1))
         pomdp = make_tabular(structure, n_s, n_a,
                              seed=int(rng.integers(2**31)), gamma=0.9)
-        # verify draws both policies once its search has counted the windows
-        draw = partial(theory.random_policy, n_actions=n_a, rng=rng)
-        reports.append(theory.verify(claim, pomdp, scheme, draw, draw))
+        step = theory.pair_step(pomdp, scheme)
+        policy_theta = theory.random_policy(len(step.windows), n_a, rng)
+        policy_expert = theory.random_policy(len(step.windows), n_a, rng)
+        reports.append(theory.verify(claim, pomdp, step, policy_theta, policy_expert))
     return reports
 
 

@@ -204,7 +204,6 @@ class TabularPOMDP:
     reward_ss: np.ndarray    # (S, S)
     rho0: np.ndarray         # (S,)
     gamma: float
-    structure: str = "random"
 
     def __post_init__(self):
         self.validate()
@@ -284,7 +283,6 @@ def make_tabular(structure, n_states, n_actions, n_obs=None, seed=0, gamma=0.9):
         reward_ss=rng.uniform(-1.0, 1.0, size=(n_states, n_states)),
         rho0=_random_stochastic(rng, (n_states,)),
         gamma=gamma,
-        structure=structure,
     )
 
 

@@ -173,14 +173,14 @@ class Adam:
 class AgentBundle:
     """Encoder (the parameterless `nets.FlattenEncoder` for fully observable
     learners), actor, twin critics, discriminator (a `nets.Mlp` over
-    (z, right) rows, right being z' or a as `pairing` says; None for
-    behavioral cloning), and their optimizers; the critic optimizer also
-    steps the encoder (for `bc`, `train` gives the actor's optimizer the
-    encoder instead)."""
+    (z, right) rows, right being z' or a as `pairing` says), and their
+    optimizers; the critic optimizer also steps the encoder. A part a
+    learner does not train is None: behavioral cloning (`pairing` None)
+    has only the encoder and the actor, whose optimizer steps both."""
 
-    actor: nets.Actor
-    critics: nets.TwinCritics
-    enc: object
+    actor: nets.Actor = None
+    critics: nets.TwinCritics = None
+    enc: object = None
     disc: nets.Mlp = None
     actor_opt: Adam = None
     critic_opt: Adam = None
@@ -188,10 +188,8 @@ class AgentBundle:
     pairing: str = "transition"
 
     def named_params(self):
-        parts = [self.actor, self.critics, self.enc]
-        if self.disc is not None:
-            parts.append(self.disc)
-        return nets.named_params(*parts)
+        parts = (self.actor, self.critics, self.enc, self.disc)
+        return nets.named_params(*(part for part in parts if part is not None))
 
     def save(self, path):
         nets.save_checkpoint(path, self.named_params())
@@ -200,7 +198,8 @@ class AgentBundle:
 def build_bundle(cfg, obs_shape, act_dim, pairing, rng, full_state=False,
                  with_disc=True):
     """Networks and optimizers. The encoder flattens the state for
-    `full_state` learners, and is convolutional on 2-D (pixel) observations."""
+    `full_state` learners, and is convolutional on 2-D (pixel) observations.
+    `pairing` None builds behavioral cloning's encoder and actor alone."""
     dtype = cfg.dtype
     if full_state:
         enc = nets.FlattenEncoder(obs_shape)
@@ -211,6 +210,9 @@ def build_bundle(cfg, obs_shape, act_dim, pairing, rng, full_state=False,
                                  hidden=cfg.hidden, dtype=dtype)
     z_dim = enc.z_dim
     actor = nets.Actor(rng, z_dim, act_dim, hidden=cfg.hidden, dtype=dtype)
+    if pairing is None:  # bc's actor regresses through the encoder
+        return AgentBundle(actor=actor, enc=enc, pairing=None,
+                           actor_opt=Adam(actor.params() + enc.params(), cfg.lr))
     critics = nets.TwinCritics(rng, z_dim, act_dim, hidden=cfg.hidden, dtype=dtype)
     disc = None
     if with_disc:
@@ -377,10 +379,11 @@ def _check_capabilities(algo, env, expert_data):
     if expert_data is not None:
         want = env.obs_shape
         if tuple(expert_data.obs_shape) != tuple(want):
+            hint = (" (fully observable learners need state-recorded datasets)"
+                    if isinstance(env, FullyObservableWrapper) else "")
             raise CapabilityError(
                 f"expert dataset observations {tuple(expert_data.obs_shape)} do not "
-                f"match the environment's {tuple(want)} (fully observable learners "
-                f"need state-recorded datasets)")
+                f"match the environment's {tuple(want)}{hint}")
         if tuple(expert_data.act_shape) != (env.act_dim,):
             raise CapabilityError(
                 f"expert dataset actions {tuple(expert_data.act_shape)} do not "
@@ -409,7 +412,7 @@ def train(algo, env, expert_data, cfg, *, frames=None):
     frames = cfg.frames if frames is None else frames
     cfg = replace(cfg, frames=max(frames, 1), d=1 if fully_obs else cfg.d)
     acts = algo != "bc"
-    pairing = "action" if algo in _ACTION_ALGOS else "transition"
+    pairing = None if not acts else "action" if algo in _ACTION_ALGOS else "transition"
     rng = np.random.default_rng(cfg.seed)
     with_disc = acts and expert_data is not None and cfg.imit_reward_scale != 0
     bundle = build_bundle(cfg, env.obs_shape, env.act_dim, pairing, rng,
@@ -426,8 +429,6 @@ def train(algo, env, expert_data, cfg, *, frames=None):
         buffer.push(obs, None)
         policy = WindowPolicy(bundle, cfg.d)
         policy.reset(obs)
-    else:  # bc's actor regresses through the encoder
-        bundle.actor_opt = Adam(bundle.actor.params() + bundle.enc.params(), cfg.lr)
     episode = 0
     start = time.perf_counter()
     disc_loss = critic_loss = actor_loss = 0.0

@@ -35,7 +35,6 @@ class Mlp:
     def __init__(self, rng, sizes, activation="relu", zero_last=False,
                  name="mlp", dtype=np.float64):
         self.activation = activation
-        self.name = name
         self.weights = []
         self.biases = []
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -152,7 +151,6 @@ class PixelEncoder:
         self.image_size = image_size
         self.d = d
         self.z_dim = z_dim
-        self.channels = channels
         c_in = d
         self.conv_w = []
         self.conv_b = []
@@ -163,7 +161,6 @@ class PixelEncoder:
             self.conv_b.append(tensor(b, name=f"enc.c{i}.b"))
             side = (side - self.KH) // self.STRIDE + 1
             c_in = c_out
-        self.out_side = side
         flat = side * side * channels[-1]
         w, b = _fan_in(rng, flat, z_dim, dtype)
         self.head_w = tensor(w, name="enc.head.W")
@@ -207,7 +204,6 @@ class Actor:
     a final tanh squash; exploration noise is added outside the network."""
 
     def __init__(self, rng, z_dim, act_dim, hidden=256, dtype=np.float64):
-        self.act_dim = act_dim
         self.mlp = Mlp(rng, [z_dim, hidden, hidden, act_dim], activation="relu",
                        zero_last=True, name="actor", dtype=dtype)
 

@@ -4,16 +4,19 @@ of the suboptimality bounds.
 The pair (hidden state, observation window) is Markov, so normalized
 discounted occupancies come from one dense linear solve over the
 reachable pairs; every divergence, posterior, and bound side is then an
-exact finite sum. The pair step is built by the search in `_reach`, as
-flat arrays of policy-free edges; the joint chain, rho(z,a,z') and
-P(z'|z,a) are weighted sums over those edges. `verify` builds the step
-once per instance and solves both policies' `OccupancyTables` on it;
-the tables carry their policy and that step, so every derived quantity
-(latent kernel, action posterior, value, correction term) reads tables
-alone and never repeats the search or the solve.
-Monte-Carlo rollouts serve as an independent oracle: they sample from T,
-U and their own window-shift table, not from the edge arrays, so a
-fault in the search cannot hide in both.
+exact finite sum. `pair_step` is the only search: it finds the
+reachable pairs and returns their `PairStep`, flat arrays of policy-free
+edges. Every exact solver takes that step and never searches again: the
+joint chain, rho(z,a,z') and P(z'|z,a) are weighted sums over its
+edges, and a policy is a (Z, A) array over its window alphabet. A caller
+searches an instance once, sizes its policies from `step.windows`, and
+hands the step to `occupancies` or `verify`; the resulting
+`OccupancyTables` carry their policy and that step, so every derived
+quantity (latent kernel, action posterior, value, correction term) reads
+tables alone and never repeats the search or the solve.
+Monte-Carlo rollouts serve as an independent oracle: they take the
+latent scheme and sample from T, U and their own window-shift table, not
+from the edge arrays, so a fault in the edges cannot hide in both.
 """
 
 from __future__ import annotations
@@ -62,13 +65,15 @@ def _check_sizes(pomdp):
 # each pair, the initial pair distribution, and the policy-free step as flat
 # arrays: edge k leads from pair src[k] under action act[k] to pair dst[k]
 # with prob[k] = T(s'|s,a) U(x'|s').
-_Reach = namedtuple("_Reach", "pairs windows pair_index window_index "
-                              "state window init src act dst prob")
+PairStep = namedtuple("PairStep", "pairs windows pair_index window_index "
+                                  "state window init src act dst prob")
 
 
-def _reach(pomdp, scheme):
-    """Breadth-first search over (state, window) pairs from the initial
-    ones, exploring every action (a policy-independent superset)."""
+def pair_step(pomdp, scheme):
+    """The `PairStep` of an instance: a breadth-first search over (state,
+    window) pairs from the initial ones, exploring every action (a
+    policy-independent superset). Windows are sorted; pairs are in
+    visiting order, the initial ones first."""
     _check_sizes(pomdp)
     t, u = pomdp.transition, pomdp.observation
     t_supp = [[np.nonzero(t[s, a])[0] for a in range(pomdp.n_actions)]
@@ -98,45 +103,31 @@ def _reach(pomdp, scheme):
     window_index = {w: i for i, w in enumerate(windows)}
     state, window = np.array([(s, window_index[w]) for s, w in pairs]).T
     src, act, dst, prob = (np.array(col) for col in zip(*edges))
-    return _Reach(pairs, windows, pair_index, window_index, state, window,
-                  np.pad(init, (0, len(pairs) - len(init))), src, act, dst, prob)
+    return PairStep(pairs, windows, pair_index, window_index, state, window,
+                    np.pad(init, (0, len(pairs) - len(init))), src, act, dst, prob)
 
 
-def enumerate_reachable(pomdp, scheme):
-    """Reachable (state, window) pairs and the induced window alphabet,
-    exploring every action (a policy-independent superset)."""
-    return _reach(pomdp, scheme)[:4]
-
-
-def joint_chain(pomdp, scheme, policy):
-    """(transition (N, N), init (N,)) over the (state, window) pairs, in
-    `enumerate_reachable`'s order, under a policy given as rows over the
-    window alphabet."""
-    reach = _reach(pomdp, scheme)
-    return _joint_chain(pomdp, reach, policy), reach.init
-
-
-def _joint_chain(pomdp, reach, policy):
+def joint_chain(pomdp, step, policy):
+    """The (N, N) transition matrix over `step.pairs` under a policy given
+    as rows over `step.windows`; the initial distribution is `step.init`."""
     policy = np.asarray(policy, dtype=float)
-    if policy.shape != (len(reach.windows), pomdp.n_actions):
+    if policy.shape != (len(step.windows), pomdp.n_actions):
         raise ValueError(
-            f"policy must be ({len(reach.windows)}, {pomdp.n_actions}), got {policy.shape}")
+            f"policy must be ({len(step.windows)}, {pomdp.n_actions}), got {policy.shape}")
     if np.any(policy < 0) or np.any(np.abs(policy.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("policy rows must be distributions over actions")
-    n = len(reach.pairs)
+    n = len(step.pairs)
     p = np.zeros((n, n))
-    np.add.at(p, (reach.src, reach.dst),
-              policy[reach.window[reach.src], reach.act] * reach.prob)
+    np.add.at(p, (step.src, step.dst),
+              policy[step.window[step.src], step.act] * step.prob)
     return p
 
 
 @dataclass
 class OccupancyTables:
     """Normalized discounted visitation tables for one policy, with the
-    policy (Z, A) and the `_reach` pair step they were solved on."""
+    policy (Z, A) and the `PairStep` they were solved on."""
 
-    windows: list
-    window_index: dict
     gamma: float
     policy: np.ndarray     # (Z, A)
     d_joint: np.ndarray    # (S, Z) occupancy over (state, window)
@@ -148,7 +139,7 @@ class OccupancyTables:
     rho_sa: np.ndarray     # (S, A)
     rho_ss: np.ndarray     # (S, S)
     p_s_given_z: np.ndarray  # (S, Z), zero columns where d_z == 0
-    reach: _Reach = field(repr=False)
+    reach: PairStep = field(repr=False)
 
     def check_consistency(self, atol=1e-9):
         for name, table in (("d_z", self.d_z), ("rho_za", self.rho_za),
@@ -165,32 +156,29 @@ class OccupancyTables:
             raise AssertionError("sum_{a,z'} rho(z,a,z') != d(z)")
 
 
-def occupancies(pomdp, scheme, policy, gamma=None):
-    """Exact tables from the linear solve d = (1-g) init + g P^T d."""
+def occupancies(pomdp, step, policy, gamma=None):
+    """Exact tables of `policy` (Z, A) on the `PairStep` `step`, from the
+    linear solve d = (1-g) init + g P^T d."""
     gamma = pomdp.gamma if gamma is None else gamma
-    return _occupancies(pomdp, _reach(pomdp, scheme), policy, gamma)
-
-
-def _occupancies(pomdp, reach, policy, gamma):
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    transition = _joint_chain(pomdp, reach, policy)
-    n = len(reach.pairs)
+    transition = joint_chain(pomdp, step, policy)
+    n = len(step.pairs)
     a_mat = np.eye(n) - gamma * transition.T
-    d = np.linalg.solve(a_mat, (1.0 - gamma) * reach.init)
+    d = np.linalg.solve(a_mat, (1.0 - gamma) * step.init)
 
     n_s, n_a = pomdp.n_states, pomdp.n_actions
-    n_z = len(reach.windows)
+    n_z = len(step.windows)
     policy = np.asarray(policy, dtype=float)
     d_joint = np.zeros((n_s, n_z))
-    d_joint[reach.state, reach.window] = d
+    d_joint[step.state, step.window] = d
     d_z = d_joint.sum(axis=0)
     rho_za = d_z[:, None] * policy
     # rho(z, a, z') = sum over steps (s,z) -a-> (s',z') of d(s,z) pi(a|z) T(s'|s,a) U(x'|s')
-    z, z2 = reach.window[reach.src], reach.window[reach.dst]
+    z, z2 = step.window[step.src], step.window[step.dst]
     rho_zaz = np.zeros((n_z, n_a, n_z))
-    np.add.at(rho_zaz, (z, reach.act, z2),
-              policy[z, reach.act] * (d[reach.src] * reach.prob))
+    np.add.at(rho_zaz, (z, step.act, z2),
+              policy[z, step.act] * (d[step.src] * step.prob))
     rho_zz = rho_zaz.sum(axis=1)
 
     d_s = d_joint.sum(axis=1)
@@ -198,9 +186,8 @@ def _occupancies(pomdp, reach, policy, gamma):
     rho_ss = np.einsum("sa,sat->st", rho_sa, pomdp.transition)
     with np.errstate(invalid="ignore", divide="ignore"):
         p_s_given_z = np.where(d_z > 0, d_joint / d_z, 0.0)
-    return OccupancyTables(reach.windows, reach.window_index, gamma, policy,
-                           d_joint, d_z, rho_za, rho_zz, rho_zaz, d_s, rho_sa,
-                           rho_ss, p_s_given_z, reach)
+    return OccupancyTables(gamma, policy, d_joint, d_z, rho_za, rho_zz, rho_zaz,
+                           d_s, rho_sa, rho_ss, p_s_given_z, step)
 
 
 def latent_kernel(tables):
@@ -339,18 +326,14 @@ def _posterior_dependence(tables_a, tables_b):
     return float(0.5 * diff.sum(axis=0).max())
 
 
-def verify(claim, pomdp, scheme, policy_theta, policy_expert):
-    """Evaluate one theorem/corollary/lemma on an instance, exactly: one
-    pair-step search, on which both policies' tables are solved. A policy
-    is a (Z, A) array, or a function of the window count Z returning one;
-    functions are called after the search, policy_theta's first."""
+def verify(claim, pomdp, step, policy_theta, policy_expert):
+    """Evaluate one theorem/corollary/lemma on an instance, exactly: both
+    policies, (Z, A) arrays over `step.windows`, are solved on the
+    `PairStep` `step`, which `pair_step` searched once."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIMS}")
-    reach = _reach(pomdp, scheme)
-    policy_theta, policy_expert = (p(len(reach.windows)) if callable(p) else p
-                                   for p in (policy_theta, policy_expert))
-    tab_t = _occupancies(pomdp, reach, policy_theta, pomdp.gamma)
-    tab_e = _occupancies(pomdp, reach, policy_expert, pomdp.gamma)
+    tab_t = occupancies(pomdp, step, policy_theta)
+    tab_e = occupancies(pomdp, step, policy_expert)
     gamma = tab_t.gamma
     violation = _posterior_dependence(tab_t, tab_e)
     tv_zz = f_divergence("tv", tab_t.rho_zz.reshape(-1), tab_e.rho_zz.reshape(-1))
@@ -434,7 +417,8 @@ class _Rollouts:
     policy on a POMDP under a latent scheme."""
 
     def __init__(self, pomdp, scheme, policy):
-        _, self.windows, _, self.window_index = enumerate_reachable(pomdp, scheme)
+        step = pair_step(pomdp, scheme)
+        self.windows, self.window_index = step.windows, step.window_index
         self.shift_to = np.array([[self.window_index.get(scheme.shift(w, x), -1)
                                    for x in range(pomdp.n_obs)] for w in self.windows])
         self.scheme = scheme

@@ -21,9 +21,8 @@ from laifo.expertgen import StatePolicy, record, train_expert
 from laifo.imitate import (Config, build_bundle, gradient_penalty, train,
                            update_critic)
 from laifo.replay import ReplayBuffer, load_dataset, save_dataset
-from laifo.theory import (LatentScheme, enumerate_reachable, f_divergence,
-                          mc_latent_occupancy, occupancies, random_policy,
-                          verify)
+from laifo.theory import (LatentScheme, f_divergence, mc_latent_occupancy,
+                          occupancies, pair_step, random_policy, verify)
 
 RESULTS = []
 
@@ -129,11 +128,11 @@ def test_criterion_2_theorem_bounds():
         n_s = int(rng.integers(3, 17))
         n_a = int(rng.integers(2, 5))
         m = make_tabular("mdp", n_s, n_a, seed=int(rng.integers(2**31)), gamma=0.9)
-        _, windows, _, _ = enumerate_reachable(m, scheme)
-        pol_t = random_policy(len(windows), n_a, rng)
-        pol_e = random_policy(len(windows), n_a, rng)
-        r2 = verify("theorem2", m, scheme, pol_t, pol_e)
-        r1 = verify("theorem1", m, scheme, pol_t, pol_e)
+        step = pair_step(m, scheme)
+        pol_t = random_policy(len(step.windows), n_a, rng)
+        pol_e = random_policy(len(step.windows), n_a, rng)
+        r2 = verify("theorem2", m, step, pol_t, pol_e)
+        r1 = verify("theorem1", m, step, pol_t, pol_e)
         worst2 = min(worst2, r2.slack)
         worst1 = min(worst1, r1.slack)
         if r2.slack >= -1e-8 and r1.slack >= -1e-8:
@@ -158,10 +157,10 @@ def test_criterion_3_corollary_injective():
         n_a = int(rng.integers(2, min(5, n_s + 1)))
         m = make_tabular("injective-deterministic", n_s, n_a,
                          seed=int(rng.integers(2**31)), gamma=0.9)
-        _, windows, _, _ = enumerate_reachable(m, scheme)
-        pol_t = random_policy(len(windows), n_a, rng)
-        pol_e = random_policy(len(windows), n_a, rng)
-        rep = verify("corollary1", m, scheme, pol_t, pol_e)
+        step = pair_step(m, scheme)
+        pol_t = random_policy(len(step.windows), n_a, rng)
+        pol_e = random_policy(len(step.windows), n_a, rng)
+        rep = verify("corollary1", m, step, pol_t, pol_e)
         worst_c = max(worst_c, rep.c_value)
     _report(3, worst_c <= 1e-8, f"max C {worst_c:.2e} over 50 instances")
 
@@ -179,10 +178,10 @@ def test_criterion_4_lemma_suite():
         n_s = int(rng.integers(3, 13))
         n_a = int(rng.integers(2, 5))
         m = make_tabular("mdp", n_s, n_a, seed=int(rng.integers(2**31)), gamma=0.9)
-        _, windows, _, _ = enumerate_reachable(m, scheme)
-        rep = verify("lemma1", m, scheme,
-                     random_policy(len(windows), n_a, rng),
-                     random_policy(len(windows), n_a, rng))
+        step = pair_step(m, scheme)
+        rep = verify("lemma1", m, step,
+                     random_policy(len(step.windows), n_a, rng),
+                     random_policy(len(step.windows), n_a, rng))
         max_gap = max(max_gap, rep.extras["max_equality_gap"])
     lemma1_ok = max_gap <= 1e-10
 
@@ -201,10 +200,10 @@ def test_criterion_4_lemma_suite():
         n_s = int(rng.integers(3, 7))
         n_a = int(rng.integers(2, 4))
         m = make_tabular("mdp", n_s, n_a, seed=int(rng.integers(2**31)), gamma=0.85)
-        _, windows, _, _ = enumerate_reachable(m, lifted)
-        rep = verify("theorem3", m, lifted,
-                     random_policy(len(windows), n_a, rng),
-                     random_policy(len(windows), n_a, rng))
+        step = pair_step(m, lifted)
+        rep = verify("theorem3", m, step,
+                     random_policy(len(step.windows), n_a, rng),
+                     random_policy(len(step.windows), n_a, rng))
         min_slack = min(min_slack, rep.slack)
     theorem3_ok = min_slack >= -1e-10
 
@@ -226,9 +225,9 @@ def test_criterion_5_occupancy_oracle():
         m = make_tabular("random", int(rng.integers(4, 9)), int(rng.integers(2, 4)),
                          n_obs=int(rng.integers(3, 7)),
                          seed=int(rng.integers(2**31)), gamma=0.9)
-        _, windows, _, _ = enumerate_reachable(m, scheme)
-        pol = random_policy(len(windows), m.n_actions, rng)
-        tab = occupancies(m, scheme, pol)
+        step = pair_step(m, scheme)
+        pol = random_policy(len(step.windows), m.n_actions, rng)
+        tab = occupancies(m, step, pol)
         # 1e6 simulated steps: geometric times at gamma=0.9 average 9 steps
         n_samples = 111_000
         freq, wins = mc_latent_occupancy(m, scheme, pol,

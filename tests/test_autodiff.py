@@ -140,8 +140,10 @@ _KIND_CASES = {
     "mean": ([(4, 3)], lambda ps: apply("sum", [apply("square", [apply("mean", ps, axis=0)])])),
     "concat": ([(2, 2), (2, 3)],
                lambda ps: apply("sum", [apply("square", [apply("concat", ps, axis=1)])])),
+    # along each axis, and over the whole array (axis=None)
     "l2norm": ([(4, 3)], lambda ps: apply("sum", [apply("l2norm", ps, axis=1)]) + apply(
-        "sum", [apply("square", [apply("l2norm", ps, axis=0, keepdims=True)])])),
+        "sum", [apply("square", [apply("l2norm", ps, axis=0, keepdims=True)])])
+        + apply("l2norm", ps)),
     # the second operand lies at least 1 above (first column) or below the
     # first, so no central difference straddles the kink
     "minimum": ([(3, 2), (3, 2)], lambda ps: apply("sum", [apply("square", [apply(

@@ -109,14 +109,21 @@ def test_cli_verify_theory_writes_json(tmp_path, capsys):
     assert "theorem2" in text and "5/5 hold" in text
 
 
+def test_cli_verify_theory_prints_json_without_out(capsys):
+    assert run(["verify-theory", "--claim", "lemma4", "--instances", "2"]) == 0
+    text = capsys.readouterr().out
+    printed = json.loads(text[text.index("\n[") + 1:])
+    assert printed == [r.to_dict() for r in verify_instances("lemma4", 2, seed=0)]
+
+
 def test_verify_instances_search_each_instance_once(monkeypatch):
-    search, calls = cli.theory._reach, []
+    search, calls = cli.theory.pair_step, []
 
     def counted(pomdp, scheme):
         calls.append(scheme)
         return search(pomdp, scheme)
 
-    monkeypatch.setattr(cli.theory, "_reach", counted)
+    monkeypatch.setattr(cli.theory, "pair_step", counted)
     # every claim generates POMDPs, each searched once: 7 claims x 25 instances
     for claim in cli.theory.CLAIMS:
         verify_instances(claim, 25, seed=0)
@@ -185,7 +192,7 @@ def _tiny_dataset(path):
                 np.ones(5, dtype=np.float32))]), path)
 
 
-def test_cli_bc_writes_run_dir(tmp_path):
+def _run_bc(tmp_path):
     data_path = tmp_path / "E.laifo"
     _tiny_dataset(data_path)
     run_dir = tmp_path / "bc"
@@ -194,6 +201,11 @@ def test_cli_bc_writes_run_dir(tmp_path):
                 "--frames", "4", "--set", "eval_interval=2", "--set", "batch=4",
                 "--set", "hidden=8", "--set", "z_dim=4", "--set", "eval_episodes=1"])
     assert code == 0
+    return run_dir
+
+
+def test_cli_bc_writes_run_dir(tmp_path):
+    run_dir = _run_bc(tmp_path)
     for name in ("metrics.csv", "final.ckpt", "config.txt", "meta.json"):
         assert (run_dir / name).exists(), name
     assert json.loads((run_dir / "meta.json").read_text())["algo"] == "bc"
@@ -201,6 +213,12 @@ def test_cli_bc_writes_run_dir(tmp_path):
     rows = (run_dir / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["2", "4"]
     assert "frames=4\n" in (run_dir / "config.txt").read_text()
+
+
+def test_cli_bc_checkpoint_holds_only_the_actor_and_encoder(tmp_path):
+    # bc trains no critic, so it builds and saves none
+    names = nets.load_checkpoint(_run_bc(tmp_path) / "final.ckpt")
+    assert {name.split(".")[0] for name in names} == {"actor", "enc"}
 
 
 def test_cli_rl_plus_videos_baseline_writes_run_dir(tmp_path):

@@ -36,6 +36,16 @@ def test_zero_action_from_rest_keeps_position():
     assert not done
 
 
+def test_sparse_reward_pays_one_within_the_goal_radius():
+    env = make_env("pointmass-v", reward_mode="sparse")
+    for offset, want in ((0.0, 1.0), (0.9, 1.0), (1.1, 0.0)):
+        env.reset(seed=0)
+        # at rest a zero action keeps the position
+        env._pos = env.goal + np.array([offset * env.sparse_radius, 0.0])
+        _, r, _ = env.step(np.zeros(2))
+        assert r == want, offset
+
+
 def test_rewards_bounded_by_r_max():
     env = make_env("pointmass-v", seed=1)
     rng = np.random.default_rng(2)

@@ -9,8 +9,8 @@ from laifo.imitate import (Adam, AgentBundle, CapabilityError, Config,
                            build_bundle, gradient_penalty, sigma_schedule, train, update_actor, update_critic,
                            update_discriminator)
 from laifo.replay import Episode, ExpertDataset, ExpertWindowSampler, ReplayBuffer
-from laifo.theory import (TWO_LN_2, LatentScheme, enumerate_reachable, f_divergence,
-                          occupancies, random_policy)
+from laifo.theory import (TWO_LN_2, LatentScheme, f_divergence, occupancies,
+                          pair_step, random_policy)
 
 
 def small_cfg(**kw):
@@ -201,12 +201,12 @@ def _fit_to_latent_occupancies(penalty_weight, steps=1500, n_rows=400):
     a tabular MDP. Returns the final main loss, the empirical row
     histograms of the expert and agent rows, and the balanced accuracy."""
     pomdp = make_tabular("mdp", 4, 2, seed=3)
-    scheme = LatentScheme(1)
+    step = pair_step(pomdp, LatentScheme(1))
     rng = np.random.default_rng(4)
-    n_z = len(enumerate_reachable(pomdp, scheme)[1])
+    n_z = len(step.windows)
     rows, hists = [], []
     for _ in range(2):  # expert, then agent
-        rho = occupancies(pomdp, scheme, random_policy(n_z, 2, rng)).rho_zz.ravel()
+        rho = occupancies(pomdp, step, random_policy(n_z, 2, rng)).rho_zz.ravel()
         idx = rng.choice(rho.size, size=n_rows, p=rho / rho.sum())
         rows.append(np.concatenate([np.eye(n_z)[idx // n_z], np.eye(n_z)[idx % n_z]], 1))
         hists.append(np.bincount(idx, minlength=rho.size) / n_rows)
@@ -492,8 +492,8 @@ def test_zero_budget_evaluates_the_initial_policy(algo):
     cfg = small_cfg()
     report = train(algo, make_env("pointmass-v"), ds, cfg, frames=0)
     assert [(r.frame, r.actor_loss) for r in report.rows] == [(0, 0.0)]
-    fresh = build_bundle(cfg, (2,), 2, "action" if algo == "bc" else "transition",
-                         np.random.default_rng(cfg.seed), with_disc=algo != "bc")
+    fresh = build_bundle(cfg, (2,), 2, None if algo == "bc" else "transition",
+                         np.random.default_rng(cfg.seed))
     for (name, got), (_, want) in zip(report.bundle.named_params(),
                                       fresh.named_params(), strict=True):
         assert np.array_equal(got, want), name
@@ -512,9 +512,18 @@ def test_capability_gating():
         train("vmail", env, ds, cfg)
     with pytest.raises(CapabilityError, match="dataset"):
         train("laifo", env, None, cfg)
-    # fully observable learner fed an observation-recorded dataset
-    with pytest.raises(CapabilityError, match="state"):
+    # fully observable learner fed an observation-recorded dataset: the
+    # refusal names the state-recorded datasets it needs
+    with pytest.raises(CapabilityError) as refused:
         train("dac", env, ds, cfg)
+    assert str(refused.value) == ("expert dataset observations (2,) do not match "
+                                  "the environment's (4,) (fully observable learners "
+                                  "need state-recorded datasets)")
+    # a pixel learner fed a vector dataset: no state hint
+    with pytest.raises(CapabilityError) as refused:
+        train("laifo", make_env("pointmass-px32"), ds, cfg)
+    assert str(refused.value) == ("expert dataset observations (2,) do not match "
+                                  "the environment's (32, 32)")
 
 
 def test_capability_rejects_dataset_action_shape():
