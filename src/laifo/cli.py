@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import sys
 from dataclasses import fields
 
@@ -342,6 +343,9 @@ def run(argv):
 
 
 def main():
+    if hasattr(signal, "SIGPIPE"):
+        # a closed stdout (`laifo ... | head`) ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

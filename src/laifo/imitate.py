@@ -14,6 +14,7 @@ onto the expert's actions from an unaugmented expert batch.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -463,6 +464,11 @@ def train(algo, env, expert_data, cfg, *, frames=None):
                     env_reward=algo == "rl_plus_videos")
                 imit_sum += imit_mean
                 imit_n += 1
+        if not acts or t > cfg.warmup:  # the steps that update
+            for phase, loss in (("discriminator", disc_loss), ("critic", critic_loss),
+                                ("actor", actor_loss)):
+                if not math.isfinite(loss):
+                    raise ValueError(f"{phase} loss is {loss} at frame {t}")
 
         if t % cfg.eval_interval == 0 or t == frames:
             report.rows.append(eval_row(t))

@@ -2,12 +2,14 @@
 assembly with episode-boundary handling, and the expert dataset format.
 
 A pushed frame carries the action/reward of the transition *into* it;
-the first frame of an episode is pushed with action=None. Windows are
-front-padded by repeating the earliest frame of the episode, so the
-encoder always sees exactly d frames. There is one window-assembly path:
-the expert sampler fills a ring of exactly its dataset's size in bulk,
-leaving it as pushing every frame in order would, and gathers through
-the same code as the agent's buffer.
+the first frame of an episode is pushed with action=None. Each slot holds
+its frame's age, its index within its episode (-1: never written), and
+windows follow from the ages: front-padded by repeating the episode's
+earliest stored frame, so the encoder always sees exactly d frames. One
+d + 1 frame walk gives both windows of a transition. There is one
+window-assembly path: the expert sampler fills a ring of exactly its
+dataset's size in bulk, leaving it as pushing every frame in order would,
+and gathers through the same code as the agent's buffer.
 
 Image frames (two or more axes) are stored as the uint8 codes 2·x, a
 quarter of their float32 size. The renderer emits only 0, 0.5 and 1, so
@@ -51,6 +53,8 @@ def _decode(codes):
 
 @dataclass
 class StackedBatch:
+    """`windows` and `next_windows` are two views of one (B, d + 1, *obs)
+    array: nothing may write into a batch."""
     windows: np.ndarray        # (B, d, *obs)
     actions: np.ndarray | None  # (B, *act)
     rewards: np.ndarray        # (B,)
@@ -72,10 +76,9 @@ class ReplayBuffer:
                              dtype=np.uint8 if len(self.obs_shape) >= 2 else np.float32)
         self._act = np.zeros((self.capacity, *self.act_shape), dtype=np.float32)
         self._rew = np.zeros(self.capacity, dtype=np.float64)
-        self._episode = np.full(self.capacity, -1, dtype=np.int64)
+        self._age = np.full(self.capacity, -1, dtype=np.int64)
         self._idx = 0          # next slot to write
         self.size = 0          # frames currently stored
-        self._ep_counter = -1
         self._prev_done = True
 
     def push(self, observation, action=None, reward=0.0, done=False):
@@ -98,33 +101,27 @@ class ReplayBuffer:
                     f"action shape {act.shape} does not match buffer {self.act_shape}")
             if self._prev_done:
                 raise ValueError("first frame after reset must be pushed with action=None")
-        if self._prev_done:
-            self._ep_counter += 1
         i = self._idx
         self._obs[i] = obs
         self._act[i] = act
         self._rew[i] = reward
-        self._episode[i] = self._ep_counter
+        # the previous push is in slot i - 1: slot -1, the last, at i = 0
+        self._age[i] = 0 if action is None else self._age[i - 1] + 1
         self._idx = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         self._prev_done = bool(done)
 
     def _valid_sources(self, idx):
         """Mask of slots that start a stored transition: the next ring slot
-        holds the same episode's next frame and the slot is not the newest
-        frame (whose ring successor is the oldest or unwritten)."""
-        nxt = (idx + 1) % self.capacity
-        ok = (self._episode[idx] >= 0) & (self._episode[nxt] == self._episode[idx])
+        holds the same episode's next frame (age + 1) and the slot is not the
+        newest frame (whose ring successor is the oldest or unwritten)."""
+        age = self._age[idx]
+        ok = (age >= 0) & (self._age[(idx + 1) % self.capacity] == age + 1)
         return ok & (idx != (self._idx - 1) % self.capacity)
 
     def _transition_sources(self):
-        if self.size < 2:
-            return np.empty(0, dtype=np.int64)
         idx = np.arange(self.capacity)
-        ok = self._valid_sources(idx)
-        if self.size < self.capacity:
-            ok[self.size:] = False
-        return idx[ok]
+        return idx[self._valid_sources(idx)]
 
     def _sample_sources(self, batch, rng):
         """Uniform transition sources by rejection from stored slots."""
@@ -147,17 +144,10 @@ class ReplayBuffer:
     def _window_indices(self, ends, d):
         """(B, d) slot indices of the windows ending at `ends`, repeat-
         padded at the episode head (or its earliest surviving frame)."""
-        out = np.empty((len(ends), d), dtype=np.int64)
-        cur = np.asarray(ends, dtype=np.int64)
-        out[:, -1] = cur
-        ep = self._episode[cur]
-        oldest = self._idx % self.capacity if self.size == self.capacity else 0
-        for k in range(d - 2, -1, -1):
-            prev = (cur - 1) % self.capacity
-            ok = (cur != oldest) & (self._episode[prev] == ep)
-            cur = np.where(ok, prev, cur)
-            out[:, k] = cur
-        return out
+        oldest = self._idx if self.size == self.capacity else 0
+        reach = np.minimum(self._age[ends], (ends - oldest) % self.capacity)
+        back = np.minimum(np.arange(d - 1, -1, -1), reach[:, None])
+        return (ends[:, None] - back) % self.capacity
 
     def sample_stacked(self, batch, d, rng):
         if d < 1:
@@ -174,10 +164,8 @@ class ReplayBuffer:
     def _gather(self, picks, d):
         """The StackedBatch of the transitions starting at slots `picks`."""
         succ = (picks + 1) % self.capacity
-        wins = self._frames(self._window_indices(picks, d))
-        nxt_wins = self._frames(self._window_indices(succ, d))
-        return StackedBatch(wins, self._act[succ].copy(), self._rew[succ].copy(),
-                            nxt_wins)
+        frames = self._frames(self._window_indices(succ, d + 1))
+        return StackedBatch(frames[:, :-1], self._act[succ], self._rew[succ], frames[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +365,9 @@ class ExpertWindowSampler:
                 ring._act[start + 1:end] = ep.actions
             if ep.rewards is not None:
                 ring._rew[start + 1:end] = ep.rewards
-            ring._episode[start:end] = k
+            ring._age[start:end] = np.arange(len(ep))
             start = end
-        ring._idx, ring.size, ring._ep_counter = 0, ring.capacity, dataset.count - 1
+        ring._idx, ring.size = 0, ring.capacity
         self._ring = ring
         self._sources = ring._transition_sources()
 

@@ -2,7 +2,10 @@ import json
 import os
 import re
 import shlex
+import signal
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +117,21 @@ def test_cli_verify_theory_prints_json_without_out(capsys):
     text = capsys.readouterr().out
     printed = json.loads(text[text.index("\n[") + 1:])
     assert printed == [r.to_dict() for r in verify_instances("lemma4", 2, seed=0)]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_command_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # like `laifo ... | head` once head has exited
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "laifo.cli", "verify-theory", "--claim",
+                               "all", "--instances", "2"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_verify_instances_search_each_instance_once(monkeypatch):

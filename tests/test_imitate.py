@@ -486,6 +486,22 @@ def test_bc_never_touches_its_environment():
     assert all(r.actor_loss > 0 and r.critic_loss == 0.0 for r in report.rows)
 
 
+def test_non_finite_loss_stops_the_run_naming_the_phase_and_frame():
+    cfg = Config(float32=True, lr=1e20, disc_lr=1e20, hidden=8, z_dim=4, batch=8,
+                 warmup=20, frames=120, eval_interval=40, eval_episodes=1)
+    ds = _linear_expert_dataset(np.random.default_rng(30))
+    # at lr 1e20 the first update, at frame 21, leaves the critic loss NaN
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^critic loss is nan at frame 21$"):
+        train("laifo", make_env("pointmass-v"), ds, cfg)
+    # bc: float32 squares of the expert's 1e30 actions overflow at once
+    for ep in ds.episodes:
+        ep.actions[:] = 1e30
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^actor loss is inf at frame 1$"):
+        train("bc", make_env("pointmass-v"), ds, cfg)
+
+
 @pytest.mark.parametrize("algo", ["bc", "laifo"])
 def test_zero_budget_evaluates_the_initial_policy(algo):
     ds = _linear_expert_dataset(np.random.default_rng(30))

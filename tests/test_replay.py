@@ -81,6 +81,51 @@ def test_windows_never_cross_episode_boundaries():
         assert w[0, 0] == nw[0, 0]
 
 
+def _logged_windows(log, capacity, g, d):
+    """The window ending at push number `g`, by walking the push log back
+    one frame at a time: a step stops at the episode's first frame and at
+    the oldest frame the ring still holds."""
+    oldest = max(0, len(log) - capacity)
+    window = [g]
+    for _ in range(d - 1):
+        g = window[0]
+        if g - 1 >= oldest and log[g - 1][0] == log[g][0]:
+            g -= 1
+        window.insert(0, g)
+    return window
+
+
+def test_agent_windows_across_wraps_match_a_walk_over_the_push_log():
+    rng = np.random.default_rng(9)
+    buf = ReplayBuffer(capacity=23, obs_shape=(1,), act_shape=(1,))
+    log = []  # per push: (episode, action, reward); the frame is the push number
+    head_lost = single = 0
+    for ep in range(60):  # ~5 frames per episode: the ring wraps about 13 times
+        n = int(rng.integers(1, 11))
+        single += n == 1
+        for t in range(n):
+            action = None if t == 0 else rng.standard_normal(1).astype(np.float32)
+            reward = 0.0 if t == 0 else float(rng.standard_normal())
+            buf.push(np.array([len(log)], dtype=np.float32), action, reward, done=t == n - 1)
+            log.append((ep, action, reward))
+        oldest = max(0, len(log) - buf.capacity)
+        sources = [g for g in range(oldest, len(log) - 1) if log[g][0] == log[g + 1][0]]
+        assert sorted(buf._obs[buf._transition_sources(), 0].astype(int)) == sources
+        if not sources:
+            continue
+        head_lost += oldest > 0 and log[oldest - 1][0] == log[oldest][0]
+        for d in (1, 2, 4):
+            batch = buf.sample_stacked(16, d, rng)
+            for w, a, r, nw in zip(batch.windows, batch.actions, batch.rewards,
+                                   batch.next_windows):
+                g = int(w[-1, 0])
+                assert g in sources
+                assert w[:, 0].tolist() == _logged_windows(log, buf.capacity, g, d)
+                assert nw[:, 0].tolist() == _logged_windows(log, buf.capacity, g + 1, d)
+                assert a[0] == log[g + 1][1][0] and r == log[g + 1][2]
+    assert single > 0 and head_lost > 0  # one-frame episodes, and overwritten heads
+
+
 def test_uniform_sampling_over_transitions():
     buf = ReplayBuffer(capacity=32, obs_shape=(1,), act_shape=(1,))
     _push_episode(buf, [np.array([float(i)]) for i in range(11)])  # 10 transitions
@@ -335,10 +380,10 @@ def test_expert_sampler_ring_equals_frame_by_frame_pushes(with_actions, with_rew
                          np.zeros(2) if ep.actions is None else ep.actions[t - 1],
                          0.0 if ep.rewards is None else ep.rewards[t - 1],
                          done=t == len(ep) - 1)
-        for name in ("_obs", "_act", "_rew", "_episode"):
+        for name in ("_obs", "_act", "_rew", "_age"):
             got, want = getattr(ring, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-        for name in ("_idx", "size", "_ep_counter", "_prev_done"):
+        for name in ("_idx", "size", "_prev_done"):
             assert getattr(ring, name) == getattr(ref, name), name
 
 
@@ -425,11 +470,11 @@ def test_push_refuses_image_frames_without_a_code(value):
     bad[1, 2] = value
     for action, done in ((None, False), (np.ones(2), True)):
         # an episode's first frame, then a frame inside an episode
-        before = (buf._idx, buf.size, buf._ep_counter, buf._obs.copy())
+        before = (buf._idx, buf.size, buf._age.copy(), buf._obs.copy())
         with pytest.raises(ValueError, match="only 0, 0.5 and 1"):
             buf.push(bad, action=action)
-        assert (buf._idx, buf.size, buf._ep_counter) == before[:3]
-        assert np.array_equal(buf._obs, before[3])
+        assert (buf._idx, buf.size) == before[:2]
+        assert np.array_equal(buf._age, before[2]) and np.array_equal(buf._obs, before[3])
         buf.push(np.full((4, 4), 0.5), action=action, done=done)
 
 
