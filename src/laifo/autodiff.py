@@ -130,7 +130,9 @@ class _EagerExec:
     # Network layers. The operand is an array and the parameters are
     # leaves, read in place: no per-operand type check on the acting path.
     def affine(self, x, w, b):
-        return x @ w.values + b.values
+        out = x @ w.values
+        out += b.values  # in place: one (N, C) array per layer, not two
+        return out
 
     def relu(self, x):
         return np.maximum(x, 0.0)
@@ -289,7 +291,9 @@ def _vjp_matmul(E, g, inputs, out, i):
 def _fw_affine(attrs, x, w, b):
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError("affine", (x.shape, w.shape, b.shape))
-    return x @ w + b
+    out = x @ w
+    out += b  # in place: one (N, C) array per layer, not two
+    return out
 
 
 def _vjp_affine(E, g, inputs, out, i):

@@ -392,6 +392,27 @@ def _check_capabilities(algo, env, expert_data):
     return env
 
 
+_MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's own dynamic threshold on 64-bit hosts
+_TRIM_THRESHOLD = 256 << 20
+
+
+def _keep_freed_arrays_in_heap():
+    """Serve every allocation below 32 MiB from glibc's heap and keep up
+    to 256 MiB of freed heap, so that each update's temporaries reuse the
+    pages the previous update faulted in rather than mapping fresh ones.
+    Process-wide; a quiet no-op without glibc's `mallopt`. Setting either
+    value turns off glibc's dynamic thresholds, so the trim threshold is
+    set only once the mmap threshold took."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, _MMAP_THRESHOLD):  # M_MMAP_THRESHOLD
+        mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 def train(algo, env, expert_data, cfg, *, frames=None):
     """Run one training job and return its TrainReport.
 
@@ -407,7 +428,10 @@ def train(algo, env, expert_data, cfg, *, frames=None):
     frames, or gradient steps for `bc`. A budget of 0 only evaluates the
     initial policy, in one row at frame 0. Writing a run directory is the
     caller's job; the report carries the resolved configuration for it.
+    Every call sets glibc's allocator thresholds for the whole process
+    (`_keep_freed_arrays_in_heap`).
     """
+    _keep_freed_arrays_in_heap()
     env = _check_capabilities(algo, env, expert_data)
     fully_obs = isinstance(env, FullyObservableWrapper)
     frames = cfg.frames if frames is None else frames

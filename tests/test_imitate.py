@@ -1,3 +1,7 @@
+import ctypes
+import platform
+import types
+
 import numpy as np
 import pytest
 
@@ -678,6 +682,42 @@ def test_rl_plus_videos_uses_env_reward(monkeypatch):
         assert np.array_equal(reward, 0.5 * score + batch.rewards)
     assert report.rows[-1].imit_reward_mean == pytest.approx(
         np.mean([0.5 * score.mean() for score in scores]), rel=1e-12)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+def test_train_keeps_freed_arrays_in_the_heap():
+    # after train, 24 MiB of 1 MiB arrays freed and allocated again reuse
+    # the heap's pages; glibc's defaults unmap or trim them on every free
+    import resource
+
+    train("rl_plus_videos", make_env("pointmass-v"), None,
+          small_cfg(frames=30, warmup=20, eval_interval=30))
+    n_arrays, n_pages = 24, 24 * (1 << 20) // resource.getpagesize()
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 17) for _ in range(n_arrays)]
+        del arrays
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 0.05 * n_pages, (faults, n_pages)
+
+
+@pytest.mark.parametrize("libc", [None, types.SimpleNamespace()],
+                         ids=["cdll-raises", "no-mallopt"])
+def test_train_runs_where_the_allocator_cannot_be_tuned(libc, monkeypatch):
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        if libc is None:
+            raise OSError("no C library")
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    imitate._keep_freed_arrays_in_heap()
+    report = train("rl_plus_videos", make_env("pointmass-v"), None,
+                   small_cfg(frames=30, warmup=20, eval_interval=30))
+    assert opened == [None, None]
+    assert [r.frame for r in report.rows] == [30]
 
 
 class _StandStill:
