@@ -8,12 +8,34 @@ gradient of a scalar with respect to an input (`input_gradient`) is itself
 a differentiable node (needed to train a discriminator whose loss contains
 the norm of its own input gradient), unless it passed through `concat` or
 `im2col`: the VJPs of their adjoints, `slice` and `col2im`, raise
-NotImplementedError. Tapes are rebuilt per step; recorded values are never
-mutated in place.
+NotImplementedError. Tapes are rebuilt per step. No operation writes into
+a recorded value; an optimizer writes its parameters in place, after the
+backward pass of the tapes that read them.
+
+A network layer is one `affine` node: x @ W + b, then the relu or tanh
+its `act` names, applied in place. Its VJP reads the relu mask or the
+tanh slope from the node's own output. Each operation kind has one VJP
+rule, called once per node with the flags of the node's live inputs (those
+on a path to a named leaf); it returns every input's gradient, None for
+the inputs that are not live.
+
+`backward` finds the live nodes in one iterative post-order walk from the
+root that visits each node's inputs last-first, and sums the adjoint
+contributions a node receives in the reverse of that order. The order is
+part of the determinism contract: floating-point addition does not
+associate, so a walk that visited inputs first-first would sum the
+adjoints of shared nodes in another order and change the bits of a run.
 
 A convolution is `im2col` followed by `affine`. `im2col` gathers each
 output pixel's kh x kw patch into one row with a single strided copy of
-its input; its adjoint `col2im` adds the kh·kw shifted slices back.
+its input; its adjoint `col2im` adds the kh·kw shifted slices back, in
+ceil(kh/s)·ceil(kw/s) strided adds of up to s x s offsets each.
+
+`pack` copies leaves' values into one flat array and makes each leaf's
+`values` a view of its slice; an optimizer packs its parameters so that a
+step is a few whole-array operations. Code that sets a packed parameter
+writes into its `values`; rebinding `values` would detach the leaf from
+the flat array.
 """
 
 from __future__ import annotations
@@ -127,15 +149,12 @@ class _EagerExec:
         """Any kind of the operation table, on arrays."""
         return _OPS[kind][0](attrs, *map(self.v, xs))
 
-    # Network layers. The operand is an array and the parameters are
+    # A network layer. The operand is an array and the parameters are
     # leaves, read in place: no per-operand type check on the acting path.
-    def affine(self, x, w, b):
+    def affine(self, x, w, b, act=None):
         out = x @ w.values
         out += b.values  # in place: one (N, C) array per layer, not two
-        return out
-
-    def relu(self, x):
-        return np.maximum(x, 0.0)
+        return _activate(out, act) if act else out
 
     def tanh(self, x):
         return np.tanh(x)
@@ -155,8 +174,12 @@ class _EagerExec:
     def matmul(self, a, b):
         return self.v(a) @ self.v(b)
 
+    def transpose(self, a):
+        return self.v(a).T
+
     def sum(self, a, axis=None, keepdims=False):
-        return np.sum(self.v(a), axis=axis, keepdims=keepdims)
+        # np.sum's reduction without its Python wrapper
+        return np.add.reduce(self.v(a), axis=axis, keepdims=keepdims)
 
 
 class _GraphExec:
@@ -168,11 +191,8 @@ class _GraphExec:
         """Any kind of the operation table, as a graph node."""
         return apply(kind, xs, **attrs)
 
-    def affine(self, x, w, b):
-        return apply("affine", [x, w, b])
-
-    def relu(self, x):
-        return apply("relu", [x])
+    def affine(self, x, w, b, act=None):
+        return apply("affine", [x, w, b], act=act)
 
     def tanh(self, x):
         return apply("tanh", [x])
@@ -194,6 +214,9 @@ class _GraphExec:
 
     def matmul(self, a, b):
         return apply("matmul", [self.v(a), self.v(b)])
+
+    def transpose(self, a):
+        return apply("transpose", [self.v(a)])
 
     def sum(self, a, axis=None, keepdims=False):
         return apply("sum", [self.v(a)], axis=axis, keepdims=keepdims)
@@ -233,48 +256,73 @@ def _im2col_values(x, kh, kw, stride):
 
 
 def _col2im_values(cols, x_shape, kh, kw, stride):
+    # The kernel offsets (i, j) with i0 <= i < i0 + s and j0 <= j < j0 + s
+    # hit distinct pixels, so one strided add covers the whole s x s block.
+    # Blocks run in (i0, j0) order and a pixel gets at most one offset per
+    # block, so every pixel sums its offsets in (i, j) order, as a kh·kw
+    # loop of slice adds would.
     b, h, w, c = x_shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    s = stride
+    oh = (h - kh) // s + 1
+    ow = (w - kw) // s + 1
     cols = cols.reshape(b, oh, ow, kh, kw, c)
     x = np.zeros(x_shape, dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            x[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += \
-                cols[:, :, :, i, j, :]
+    sb, sh, sw, sc = x.strides
+    for i0 in range(0, kh, s):
+        m = min(s, kh - i0)
+        for j0 in range(0, kw, s):
+            n = min(s, kw - j0)
+            # rows i0 + s*p + di and columns j0 + s*q + dj, as (b, p, di, q, dj, c)
+            block = np.lib.stride_tricks.as_strided(
+                x[:, i0:, j0:, :], (b, oh, m, ow, n, c),
+                (sb, s * sh, sh, s * sw, sw, sc))
+            block += cols[:, :, :, i0:i0 + m, j0:j0 + n, :].transpose(0, 1, 3, 2, 4, 5)
     return x
+
+
+def _activate(out, act):
+    """Apply a layer's activation to its affine output, in place."""
+    if act == "relu":
+        return np.maximum(out, 0.0, out=out)
+    if act == "tanh":
+        return np.tanh(out, out=out)
+    raise ValueError(f"unknown activation {act!r}; choose relu or tanh")
 
 
 # ---------------------------------------------------------------------------
 # Operation table: forward on arrays, and the vjp via an executor.
-# vjp(E, g, inputs, out, i) is the gradient for input i alone.
+# vjp(E, g, node, live) returns the gradient of every input i for which
+# live[i] holds, and None for the others.
 # ---------------------------------------------------------------------------
 
 def _fw_add(attrs, a, b):
     return a + b
 
 
-def _vjp_add(E, g, inputs, out, i):
-    return _unbroadcast(E, g, inputs[i].shape)
+def _vjp_add(E, g, node, live):
+    a, b = node.inputs
+    return (_unbroadcast(E, g, a.shape) if live[0] else None,
+            _unbroadcast(E, g, b.shape) if live[1] else None)
 
 
 def _fw_mul(attrs, a, b):
     return a * b
 
 
-def _vjp_mul(E, g, inputs, out, i):
-    return _unbroadcast(E, E.mul(g, inputs[1 - i]), inputs[i].shape)
+def _vjp_mul(E, g, node, live):
+    a, b = node.inputs
+    return (_unbroadcast(E, E.mul(g, b), a.shape) if live[0] else None,
+            _unbroadcast(E, E.mul(g, a), b.shape) if live[1] else None)
 
 
 def _fw_div(attrs, a, b):
     return a / b
 
 
-def _vjp_div(E, g, inputs, out, i):
-    a, b = inputs
-    if i == 0:
-        return _unbroadcast(E, E.div(g, b), a.shape)
-    return _unbroadcast(E, E.neg(E.div(E.mul(g, out), b)), b.shape)
+def _vjp_div(E, g, node, live):
+    a, b = node.inputs
+    return (_unbroadcast(E, E.div(g, b), a.shape) if live[0] else None,
+            _unbroadcast(E, E.neg(E.div(E.mul(g, node), b)), b.shape) if live[1] else None)
 
 
 def _fw_matmul(attrs, a, b):
@@ -283,9 +331,10 @@ def _fw_matmul(attrs, a, b):
     return a @ b
 
 
-def _vjp_matmul(E, g, inputs, out, i):
-    a, b = inputs
-    return E.matmul(g, E.op("transpose", b)) if i == 0 else E.matmul(E.op("transpose", a), g)
+def _vjp_matmul(E, g, node, live):
+    a, b = node.inputs
+    return (E.matmul(g, E.transpose(b)) if live[0] else None,
+            E.matmul(E.transpose(a), g) if live[1] else None)
 
 
 def _fw_affine(attrs, x, w, b):
@@ -293,33 +342,28 @@ def _fw_affine(attrs, x, w, b):
         raise ShapeMismatchError("affine", (x.shape, w.shape, b.shape))
     out = x @ w
     out += b  # in place: one (N, C) array per layer, not two
-    return out
+    act = attrs.get("act")
+    return _activate(out, act) if act else out
 
 
-def _vjp_affine(E, g, inputs, out, i):
-    x, w, _ = inputs
-    if i == 0:
-        return E.matmul(g, E.op("transpose", w))
-    if i == 1:
-        return E.matmul(E.op("transpose", x), g)
-    return E.sum(g, axis=0)
+def _vjp_affine(E, g, node, live):
+    act = node.attrs.get("act")
+    if act == "relu":  # the output is positive exactly where the input was
+        g = E.mul(g, (node.values > 0).astype(node.dtype))
+    elif act == "tanh":  # 1 - y^2 from the output y, itself a graph node
+        g = E.mul(g, E.add(E.neg(E.mul(node, node)), 1.0))
+    x, w, _ = node.inputs
+    return (E.matmul(g, E.transpose(w)) if live[0] else None,
+            E.matmul(E.transpose(x), g) if live[1] else None,
+            E.sum(g, axis=0) if live[2] else None)
 
 
 def _fw_tanh(attrs, x):
     return np.tanh(x)
 
 
-def _vjp_tanh(E, g, inputs, out, i):
-    return E.mul(g, E.add(E.neg(E.mul(out, out)), 1.0))
-
-
-def _fw_relu(attrs, x):
-    return np.maximum(x, 0.0)
-
-
-def _vjp_relu(E, g, inputs, out, i):
-    x = inputs[0]
-    return E.mul(g, (x.values > 0).astype(x.dtype))
+def _vjp_tanh(E, g, node, live):
+    return (E.mul(g, E.add(E.neg(E.mul(node, node)), 1.0)),)
 
 
 def sigmoid_values(x):
@@ -336,8 +380,8 @@ def _fw_sigmoid(attrs, x):
     return sigmoid_values(x)
 
 
-def _vjp_sigmoid(E, g, inputs, out, i):
-    return E.mul(g, E.mul(out, E.add(E.neg(out), 1.0)))
+def _vjp_sigmoid(E, g, node, live):
+    return (E.mul(g, E.mul(node, E.add(E.neg(node), 1.0))),)
 
 
 def _fw_log(attrs, x):
@@ -346,20 +390,20 @@ def _fw_log(attrs, x):
     return np.log(x + LOG_OFFSET)
 
 
-def _vjp_log(E, g, inputs, out, i):
-    return E.div(g, E.add(inputs[0], LOG_OFFSET))
+def _vjp_log(E, g, node, live):
+    return (E.div(g, E.add(node.inputs[0], LOG_OFFSET)),)
 
 
 def _fw_square(attrs, x):
     return x * x
 
 
-def _vjp_square(E, g, inputs, out, i):
-    return E.mul(g, E.mul(inputs[0], 2.0))
+def _vjp_square(E, g, node, live):
+    return (E.mul(g, E.mul(node.inputs[0], 2.0)),)
 
 
 def _fw_sum(attrs, x):
-    return np.sum(x, axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
+    return np.add.reduce(x, axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
 
 
 def _bcast_reduced(E, g, attrs, in_shape):
@@ -377,8 +421,8 @@ def _bcast_reduced(E, g, attrs, in_shape):
     return E.mul(g, ones)
 
 
-def _vjp_sum(E, g, inputs, out, i):
-    return _bcast_reduced(E, g, out.attrs, inputs[0].shape)
+def _vjp_sum(E, g, node, live):
+    return (_bcast_reduced(E, g, node.attrs, node.inputs[0].shape),)
 
 
 def _fw_mean(attrs, x):
@@ -388,9 +432,10 @@ def _fw_mean(attrs, x):
     return total / (x.size // np.size(total))
 
 
-def _vjp_mean(E, g, inputs, out, i):
-    n = inputs[0].size // max(out.size, 1)
-    return _bcast_reduced(E, E.mul(g, 1.0 / n), out.attrs, inputs[0].shape)
+def _vjp_mean(E, g, node, live):
+    x = node.inputs[0]
+    n = x.size // max(node.size, 1)
+    return (_bcast_reduced(E, E.mul(g, 1.0 / n), node.attrs, x.shape),)
 
 
 def _fw_concat(attrs, *xs):
@@ -401,13 +446,17 @@ def _fw_concat(attrs, *xs):
     return np.concatenate(xs, axis=axis)
 
 
-def _vjp_concat(E, g, inputs, out, i):
-    axis = out.attrs.get("axis", 0)
-    start = sum(x.shape[axis] for x in inputs[:i])
-    x = inputs[i]
-    key = tuple(slice(None) if d != axis else slice(start, start + x.shape[axis])
-                for d in range(len(x.shape)))
-    return E.op("slice", g, key=key)
+def _vjp_concat(E, g, node, live):
+    axis = node.attrs.get("axis", 0)
+    grads = []
+    start = 0
+    for x, flag in zip(node.inputs, live):
+        stop = start + x.shape[axis]
+        key = tuple(slice(None) if d != axis else slice(start, stop)
+                    for d in range(len(x.shape)))
+        grads.append(E.op("slice", g, key=key) if flag else None)
+        start = stop
+    return grads
 
 
 def _fw_l2norm(attrs, x):
@@ -415,40 +464,41 @@ def _fw_l2norm(attrs, x):
                                  keepdims=attrs.get("keepdims", False)) + NORM_OFFSET)
 
 
-def _vjp_l2norm(E, g, inputs, out, i):
-    x = inputs[0]
-    axis = out.attrs.get("axis")
+def _vjp_l2norm(E, g, node, live):
+    x = node.inputs[0]
+    axis = node.attrs.get("axis")
     if axis is None:
-        return E.mul(x, E.div(g, out))
+        return (E.mul(x, E.div(g, node)),)
     kd = list(x.shape)
     kd[axis] = 1
-    return E.mul(x, E.op("reshape", E.div(g, out), shape=tuple(kd)))
+    return (E.mul(x, E.op("reshape", E.div(g, node), shape=tuple(kd))),)
 
 
 def _fw_minimum(attrs, a, b):
     return np.minimum(a, b)
 
 
-def _vjp_minimum(E, g, inputs, out, i):
-    a, b = inputs
+def _vjp_minimum(E, g, node, live):
+    a, b = node.inputs
     mask = (a.values <= b.values).astype(a.dtype)
-    return _unbroadcast(E, E.mul(g, mask if i == 0 else 1.0 - mask), inputs[i].shape)
+    return (_unbroadcast(E, E.mul(g, mask), a.shape) if live[0] else None,
+            _unbroadcast(E, E.mul(g, 1.0 - mask), b.shape) if live[1] else None)
 
 
 def _fw_transpose(attrs, x):
     return x.T
 
 
-def _vjp_transpose(E, g, inputs, out, i):
-    return E.op("transpose", g)
+def _vjp_transpose(E, g, node, live):
+    return (E.transpose(g),)
 
 
 def _fw_reshape(attrs, x):
     return x.reshape(attrs["shape"])
 
 
-def _vjp_reshape(E, g, inputs, out, i):
-    return E.op("reshape", g, shape=inputs[0].shape)
+def _vjp_reshape(E, g, node, live):
+    return (E.op("reshape", g, shape=node.inputs[0].shape),)
 
 
 def _fw_slice(attrs, x):
@@ -459,17 +509,17 @@ def _fw_im2col(attrs, x):
     return _im2col_values(x, attrs["kh"], attrs["kw"], attrs["stride"])
 
 
-def _vjp_im2col(E, g, inputs, out, i):
-    return E.op("col2im", g, x_shape=inputs[0].shape, **out.attrs)
+def _vjp_im2col(E, g, node, live):
+    return (E.op("col2im", g, x_shape=node.inputs[0].shape, **node.attrs),)
 
 
 def _fw_col2im(attrs, x):
     return _col2im_values(x, attrs["x_shape"], attrs["kh"], attrs["kw"], attrs["stride"])
 
 
-def _vjp_second_order(E, g, inputs, out, i):
+def _vjp_second_order(E, g, node, live):
     # slice and col2im nodes exist only inside a recorded gradient
-    raise NotImplementedError(f"second-order gradients through {out.op} are not supported")
+    raise NotImplementedError(f"second-order gradients through {node.op} are not supported")
 
 
 _OPS = {
@@ -479,7 +529,6 @@ _OPS = {
     "matmul": (_fw_matmul, _vjp_matmul),
     "affine": (_fw_affine, _vjp_affine),
     "tanh": (_fw_tanh, _vjp_tanh),
-    "relu": (_fw_relu, _vjp_relu),
     "sigmoid": (_fw_sigmoid, _vjp_sigmoid),
     "log": (_fw_log, _vjp_log),
     "square": (_fw_square, _vjp_square),
@@ -505,63 +554,75 @@ def apply(kind, inputs, **attrs):
     required = _REQUIRED_ATTRS.get(kind)
     if required and not all(a in attrs for a in required):
         raise ValueError(f"{kind} needs " + " and ".join(f"{a}=" for a in required))
-    inputs = [_as_node(x) for x in inputs]
-    if kind in _BINARY_ELEMWISE:
-        a, b = inputs[0].values, inputs[1].values
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise ShapeMismatchError(kind, (a.shape, b.shape)) from None
-    values = _OPS[kind][0](attrs, *(x.values for x in inputs))
-    return TensorNode(values, op=kind, inputs=tuple(inputs), attrs=attrs)
+    inputs = tuple([x if isinstance(x, TensorNode) else _as_node(x) for x in inputs])
+    try:
+        values = _OPS[kind][0](attrs, *[x.values for x in inputs])
+    except ValueError:
+        if kind in _BINARY_ELEMWISE:  # numpy could not broadcast the operands
+            raise ShapeMismatchError(kind, tuple(x.shape for x in inputs)) from None
+        raise
+    return TensorNode(values, kind, inputs, attrs)
+
+
+def pack(leaves):
+    """Copy the leaves' values, in order, into one new flat array and make
+    each leaf's `values` a view of its slice; returns the flat array."""
+    flat = np.concatenate([p.values.reshape(-1) for p in leaves])
+    start = 0
+    for p in leaves:
+        stop = start + p.values.size
+        p.values = flat[start:stop].reshape(p.values.shape)
+        start = stop
+    return flat
 
 
 # ---------------------------------------------------------------------------
 # Backward passes
 # ---------------------------------------------------------------------------
 
-def _toposort(root, leaves):
-    """The nodes on a path from root to one of `leaves`, inputs first, and
-    the set of their ids."""
-    targets = {id(x) for x in leaves}
-    live = set()  # ids of the nodes that reach a target
+def _live_nodes(root, targets):
+    """The operation nodes on a path from root to one of the `targets`,
+    each with its inputs' live flags, in post-order: an iterative
+    depth-first walk that visits each node's inputs last-first. The VJPs
+    run in the reverse of this order, which fixes the order in which a
+    node's adjoint contributions are summed."""
+    live = set(targets)
+    done = {}  # node -> True once its inputs are walked, False while they are
     order = []
-    seen = set()
-    stack = [(root, False)]
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            if id(node) in targets or any(id(x) in live for x in node.inputs):
-                live.add(id(node))
-                order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for inp in node.inputs:
-            if id(inp) not in seen:
-                stack.append((inp, False))
-    return order, live
+        node = stack.pop()
+        state = done.get(node)
+        if state is None:  # first visit: come back after its inputs
+            done[node] = False
+            stack.append(node)
+            for inp in node.inputs:
+                if inp.op is not None and inp not in done:
+                    stack.append(inp)
+        elif not state:  # its inputs are walked
+            done[node] = True
+            flags = [inp in live for inp in node.inputs]
+            if True in flags:
+                live.add(node)
+                order.append((node, flags))
+    return order
 
 
 def _run_backward(root, leaves, create_graph):
-    """Adjoints by node id, computing only the VJPs on a path to a leaf."""
+    """Adjoints by node, computing only the VJPs on a path to a leaf."""
     E = GRAPH if create_graph else EAGER
-    order, live = _toposort(root, leaves)
     seed = np.ones(root.shape, dtype=root.dtype)
-    adjoint = {id(root): _as_node(seed) if create_graph else seed}
-    for node in reversed(order):
-        if node.op is None:
-            continue
-        g = adjoint[id(node)]
-        vjp = _OPS[node.op][1]
-        for i, inp in enumerate(node.inputs):
-            if id(inp) not in live:
-                continue
-            gi = vjp(E, g, node.inputs, node, i)
-            prev = adjoint.get(id(inp))
-            adjoint[id(inp)] = gi if prev is None else E.add(prev, gi)
+    adjoint = {root: _as_node(seed) if create_graph else seed}
+    targets = set(leaves)
+    for node, live in reversed(_live_nodes(root, targets)):
+        # a node's adjoint is complete once its VJP runs; only the named
+        # nodes' adjoints are kept beyond that
+        g = adjoint[node] if node in targets else adjoint.pop(node)
+        grads = _OPS[node.op][1](E, g, node, live)
+        for inp, gi in zip(node.inputs, grads):
+            if gi is not None:
+                prev = adjoint.get(inp)
+                adjoint[inp] = gi if prev is None else E.add(prev, gi)
     return adjoint
 
 
@@ -572,15 +633,14 @@ def backward(root, params):
     if root.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     adjoint = _run_backward(root, params, create_graph=False)
-    return [adjoint[id(p)] if id(p) in adjoint else np.zeros_like(p.values)
-            for p in params]
+    return [adjoint[p] if p in adjoint else np.zeros_like(p.values) for p in params]
 
 
 def input_gradient(scalar, wrt):
     """d scalar / d wrt as a graph node, itself differentiable again."""
     if scalar.size != 1:
         raise ValueError("input_gradient needs a scalar node")
-    g = _run_backward(scalar, [wrt], create_graph=True).get(id(wrt))
+    g = _run_backward(scalar, [wrt], create_graph=True).get(wrt)
     if g is None:
         raise ValueError("wrt does not influence the scalar")
     return g

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import augment, nets
-from .autodiff import apply, backward, input_gradient, tensor
+from .autodiff import apply, backward, input_gradient, pack, tensor
 from .envs import FullyObservableWrapper, clone
 from .replay import ExpertWindowSampler, ReplayBuffer
 
@@ -145,29 +145,48 @@ class TrainReport:
 
 
 class Adam:
-    """Adaptive-moment optimizer with the standard constants."""
+    """Adaptive-moment optimizer with the standard constants. The
+    parameters (`flat`, which `autodiff.pack` makes their values views of),
+    the first moments `m` and the second moments `v` are three flat arrays,
+    so a step is a fixed number of whole-array operations."""
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        self.flat = pack(self.params)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
     def step(self, grads):
         """One update from `grads`, a list in the order of `self.params`
-        (what `backward(loss, self.params)` returns)."""
+        (what `backward(loss, self.params)` returns). Each element goes
+        through the same operations, in the same order, as
+        m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+        p = p - lr (m / b1t) / (sqrt(v / b2t) + eps), in two scratch arrays."""
+        if len(grads) != len(self.params):
+            raise ValueError(f"{len(grads)} gradients for {len(self.params)} parameters")
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v, strict=True):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.values = p.values - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v = self.m, self.v
+        g = np.concatenate([x.reshape(-1) for x in grads])
+        tmp = np.multiply(g, 1.0 - self.b1)
+        m *= self.b1
+        m += tmp
+        np.multiply(g, 1.0 - self.b2, out=tmp)
+        tmp *= g
+        v *= self.b2
+        v += tmp
+        delta = np.divide(m, b1t, out=g)
+        delta *= self.lr
+        np.divide(v, b2t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        delta /= tmp
+        self.flat -= delta
 
 
 @dataclass

@@ -16,7 +16,7 @@ import copy
 
 import numpy as np
 
-from .autodiff import EAGER, GRAPH, sigmoid_values, tensor
+from .autodiff import EAGER, GRAPH, pack, sigmoid_values, tensor
 from .replay import _read_exact, _read_header, _require, _write_header
 
 CKPT_MAGIC = b"LAIFO-CKPT1"
@@ -30,11 +30,14 @@ def _fan_in(rng, n_in, n_out, dtype):
 
 
 class Mlp:
-    """Fully connected stack; optionally zero-initialized final layer."""
+    """Fully connected stack, one `affine` node per layer: `activation`
+    after every hidden layer and `out_activation` (None: linear) after the
+    last; optionally zero-initialized final layer."""
 
     def __init__(self, rng, sizes, activation="relu", zero_last=False,
-                 name="mlp", dtype=np.float64):
+                 name="mlp", dtype=np.float64, out_activation=None):
         self.activation = activation
+        self.out_activation = out_activation
         self.weights = []
         self.biases = []
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -48,11 +51,11 @@ class Mlp:
             self.biases.append(tensor(b, name=f"{name}.l{i}.b"))
 
     def run(self, E, x):
-        act = getattr(E, self.activation)
+        act = self.activation
         ws, bs = self.weights, self.biases
         for i in range(len(ws) - 1):
-            x = act(E.affine(x, ws[i], bs[i]))
-        return E.affine(x, ws[-1], bs[-1])
+            x = E.affine(x, ws[i], bs[i], act)
+        return E.affine(x, ws[-1], bs[-1], self.out_activation)
 
     def forward(self, x):
         return self.run(GRAPH, x)
@@ -184,7 +187,7 @@ class PixelEncoder:
         for w, bias in zip(self.conv_w, self.conv_b):
             cols = E.op("im2col", x, kh=self.KH, kw=self.KW, stride=self.STRIDE)
             side = (side - self.KH) // self.STRIDE + 1
-            x = E.op("reshape", E.relu(E.affine(cols, w, bias)),
+            x = E.op("reshape", E.affine(cols, w, bias, "relu"),
                      shape=(b, side, side, w.shape[1]))
         head = E.affine(E.op("reshape", x, shape=(b, x.size // b)), self.head_w, self.head_b)
         return _normalize(E, head, self.z_dim)
@@ -205,10 +208,10 @@ class Actor:
 
     def __init__(self, rng, z_dim, act_dim, hidden=256, dtype=np.float64):
         self.mlp = Mlp(rng, [z_dim, hidden, hidden, act_dim], activation="relu",
-                       zero_last=True, name="actor", dtype=dtype)
+                       zero_last=True, name="actor", dtype=dtype, out_activation="tanh")
 
     def run(self, E, z):
-        return E.tanh(self.mlp.run(E, z))
+        return self.mlp.run(E, z)
 
     def forward(self, z):
         return self.run(GRAPH, z)
@@ -239,7 +242,11 @@ def act(actor, z, sigma, clip_c, rng):
 
 class TwinCritics:
     """Two Q heads over (latent, action) plus slow-moving target copies,
-    which run through the same body."""
+    which run through the same body. The targets' values are one flat
+    array (`autodiff.pack`), and so are the heads': their own until an
+    optimizer packs them again, which must list them first. `soft_update`
+    reads the heads as the start of that array, and refuses to run when
+    they are not."""
 
     def __init__(self, rng, z_dim, act_dim, hidden=256, dtype=np.float64):
         sizes = [z_dim + act_dim, hidden, hidden, 1]
@@ -247,6 +254,8 @@ class TwinCritics:
         self.q2 = Mlp(rng, sizes, zero_last=True, name="q2", dtype=dtype)
         self.t1 = copy.deepcopy(self.q1)
         self.t2 = copy.deepcopy(self.q2)
+        pack(self.params())
+        self._targets = pack(self.t1.params() + self.t2.params())
 
     def run(self, E, z, a, target=False):
         x = E.op("concat", z, a, axis=1)
@@ -263,10 +272,12 @@ class TwinCritics:
     def soft_update(self, tau):
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {tau}")
-        for tgt, net in ((self.t1, self.q1), (self.t2, self.q2)):
-            for t, p in zip(tgt.params(), net.params()):
-                t.values *= 1.0 - tau
-                t.values += tau * p.values
+        flat = self.q1.weights[0].values.base
+        heads = None if flat is None else flat[:self._targets.size]
+        if heads is None or not np.may_share_memory(heads, self.q2.biases[-1].values):
+            raise ValueError("the critic heads must lead the flat array that packed them")
+        self._targets *= 1.0 - tau
+        self._targets += tau * heads
 
     def params(self):
         return self.q1.params() + self.q2.params()
@@ -328,4 +339,4 @@ def load_into(nets_list, loaded):
             if arr.shape != p.shape:
                 raise ValueError(
                     f"checkpoint {p.name} has shape {arr.shape}, expected {p.shape}")
-            p.values = arr.astype(p.values.dtype)
+            p.values[...] = arr  # in place: an optimizer's flat array holds it

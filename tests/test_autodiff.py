@@ -123,16 +123,20 @@ def _rand_nodes(rng, shapes):
     return [tensor(rng.standard_normal(s)) for s in shapes]
 
 
-# One scalar-valued builder per operation kind, used for the per-kind
-# finite-difference sweep below. slice and col2im nodes exist only inside a
-# recorded gradient, and their own gradients are refused (see below).
+# One scalar-valued builder per operation kind (and per activation of the
+# layer op, as "affine-<act>"), used for the per-kind finite-difference
+# sweep below. slice and col2im nodes exist only inside a recorded
+# gradient, and their own gradients are refused (see below).
 _KIND_CASES = {
     "add": ([(3, 2), (3, 2)], lambda ps: apply("sum", [apply("add", ps)])),
     "mul": ([(3, 2), (3, 2)], lambda ps: apply("sum", [apply("mul", ps)])),
     "matmul": ([(2, 3), (3, 2)], lambda ps: apply("sum", [apply("matmul", ps)])),
     "affine": ([(4, 3), (3, 2), (2,)], lambda ps: apply("sum", [apply("affine", ps)])),
+    "affine-relu": ([(4, 3), (3, 2), (2,)], lambda ps: apply("sum", [apply("square", [
+        apply("affine", ps, act="relu")])])),
+    "affine-tanh": ([(4, 3), (3, 2), (2,)], lambda ps: apply("sum", [apply("square", [
+        apply("affine", ps, act="tanh")])])),
     "tanh": ([(5,)], lambda ps: apply("sum", [apply("tanh", ps)])),
-    "relu": ([(5,)], lambda ps: apply("sum", [apply("square", [apply("relu", ps)])])),
     "sigmoid": ([(5,)], lambda ps: apply("sum", [apply("sigmoid", ps)])),
     "log": ([(5,)], lambda ps: apply("sum", [apply("log", [apply("square", ps) + 0.5])])),
     "square": ([(5,)], lambda ps: apply("sum", [apply("square", ps)])),
@@ -162,12 +166,34 @@ _KIND_CASES = {
 
 
 def test_every_public_kind_has_a_gradient_case():
-    assert set(_KIND_CASES) == set(ad._OPS) - {"slice", "col2im"}
+    assert {case.partition("-")[0] for case in _KIND_CASES} == \
+        set(ad._OPS) - {"slice", "col2im"}
 
 
 def test_missing_attributes_rejected():
     with pytest.raises(ValueError, match="reshape needs shape="):
         apply("reshape", [tensor(np.ones((2, 3)))])
+
+
+def test_unknown_activation_rejected():
+    with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+        apply("affine", [tensor(np.ones((2, 3))), tensor(np.ones((3, 2))),
+                         tensor(np.ones(2))], act="gelu")
+
+
+@pytest.mark.parametrize("act", [None, "relu", "tanh"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_op_equals_affine_then_activation(act, dtype):
+    # the activation runs in place on the affine output; its bits are those
+    # of the separate ufunc call on a fresh array
+    rng = np.random.default_rng(3)
+    x, w, b = (rng.standard_normal(s).astype(dtype) for s in [(7, 5), (5, 9), (9,)])
+    pre = x @ w + b
+    ref = {None: pre, "relu": np.maximum(pre, 0.0), "tanh": np.tanh(pre)}[act]
+    node = apply("affine", [tensor(x), tensor(w), tensor(b)], act=act)
+    eager = ad.EAGER.affine(x, tensor(w), tensor(b), act)
+    for out in (node.values, eager):
+        assert out.dtype == dtype and out.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(_KIND_CASES))
@@ -196,6 +222,26 @@ def test_double_backprop_matches_finite_differences():
     w = tensor(rng.standard_normal((3, 3)))
     penalty = _penalty(np.array([[0.7, -0.2, 1.1]]), lambda x, w: apply("matmul", [x, w]))
     assert finite_diff_check(penalty, [w], eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_double_backprop_through_layers_matches_finite_differences(act):
+    # the gradient penalty's path: ||d score / d x||^2 of a two-layer net
+    # whose hidden layer is one affine node with `act`, in every parameter
+    rng = np.random.default_rng(zlib.crc32(act.encode()))
+    x0 = rng.standard_normal((4, 3))
+
+    def penalty(ps):
+        w1, b1, w2, b2 = ps
+        x = tensor(x0)
+        h = apply("affine", [x, w1, b1], act=act)
+        score = apply("sum", [apply("affine", [h, w2, b2], act="tanh")])
+        g = input_gradient(score, x)
+        return apply("sum", [apply("square", [g])])
+
+    for _ in range(20):
+        params = _rand_nodes(rng, [(3, 5), (5,), (5, 2), (2,)])
+        assert finite_diff_check(penalty, params, eps=1e-6) < 1e-4
 
 
 # Through concat, df/dx is a slice of the upstream gradient; through
@@ -268,13 +314,18 @@ def test_backward_skips_gradients_nobody_named(monkeypatch):
     rng = np.random.default_rng(0)
     x, w, b = (tensor(rng.standard_normal(s)) for s in [(4, 3), (3, 2), (2,)])
     calls = _count_matmuls(monkeypatch, ad._EagerExec)
-    (gb,) = backward(apply("sum", [apply("affine", [x, w, b])]), [b])
-    assert np.array_equal(gb, np.full(2, 4.0))
-    assert calls == []  # neither dX nor dW is computed
-    gx, gw = backward(apply("sum", [apply("affine", [x, w, b])]), [x, w])
-    assert len(calls) == 2
-    assert np.allclose(gx, np.ones((4, 2)) @ w.values.T)
-    assert np.allclose(gw, x.values.T @ np.ones((4, 2)))
+    for act in (None, "relu", "tanh"):
+        y = apply("affine", [x, w, b], act=act).values
+        # d sum(y) / d(x @ w + b), from the layer's output
+        slope = {None: np.ones_like(y), "relu": (y > 0) * 1.0, "tanh": 1.0 - y * y}[act]
+        calls.clear()
+        (gb,) = backward(apply("sum", [apply("affine", [x, w, b], act=act)]), [b])
+        assert np.allclose(gb, slope.sum(axis=0))
+        assert calls == []  # neither dX nor dW is computed
+        gx, gw = backward(apply("sum", [apply("affine", [x, w, b], act=act)]), [x, w])
+        assert len(calls) == 2
+        assert np.allclose(gx, slope @ w.values.T)
+        assert np.allclose(gw, x.values.T @ slope)
 
 
 def test_input_gradient_records_only_input_vjps(monkeypatch):
@@ -284,13 +335,31 @@ def test_input_gradient_records_only_input_vjps(monkeypatch):
     x = tensor(rng.standard_normal((3, 5)))
     h = x
     for i, (w, b) in enumerate(layers):
-        h = apply("affine", [h, w, b])
-        if i < 2:
-            h = apply("tanh", [h])
+        h = apply("affine", [h, w, b], act="tanh" if i < 2 else None)
     calls = _count_matmuls(monkeypatch, ad._GraphExec)
     g = input_gradient(apply("sum", [h]), x)
     assert len(calls) == 3  # one dX per layer, no dW
     assert g.shape == x.shape
+
+
+# A node s = 1 * x feeds three consumers whose adjoint contributions, 1,
+# 1e16 and -1e16, sum to 0 in the order (1 + 1e16) - 1e16 and to 1 in the
+# order (-1e16 + 1e16) + 1. The walk visits inputs last-first, so the VJPs
+# run consumer 1, 2, 3 and ds/dx reads 0; a walk that visited inputs
+# first-first would read 1.
+_SHARED_NODE_TREES = {
+    "left": lambda s: (s * 1.0 + s * 1e16) + s * -1e16,
+    "right": lambda s: s * 1.0 + (s * 1e16 + s * -1e16),
+}
+
+
+@pytest.mark.parametrize("tree", sorted(_SHARED_NODE_TREES))
+def test_adjoints_of_a_shared_node_sum_in_walk_order(tree):
+    x = tensor([1.0])
+    root = apply("sum", [_SHARED_NODE_TREES[tree](x * 1.0)])
+    (gx,) = backward(root, [x])
+    assert gx.tobytes() == np.zeros(1).tobytes()
+    assert input_gradient(root, x).values.tobytes() == np.zeros(1).tobytes()
 
 
 def _im2col_slices(x, kh, kw, stride):
@@ -328,3 +397,37 @@ def test_im2col_equals_slice_loop_and_owns_its_columns(shape, k, stride, dtype, 
     lhs = np.sum(cols * g)
     rhs = np.sum(x * ad._col2im_values(g, x.shape, k, k, stride))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def _col2im_slices(cols, x_shape, kh, kw, stride):
+    # the kh*kw strided slice adds that col2im's blocks replaced
+    b, h, w, c = x_shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    cols = cols.reshape(b, oh, ow, kh, kw, c)
+    x = np.zeros(x_shape, dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            x[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += cols[:, :, :, i, j, :]
+    return x
+
+
+@pytest.mark.parametrize("shape,k,stride", [((1, 5, 5, 2), 3, 2),
+                                            ((2, 7, 6, 3), 2, 1),
+                                            ((3, 4, 4, 1), 1, 1),
+                                            ((2, 9, 8, 2), 3, 2),
+                                            ((1, 11, 10, 2), 5, 3),
+                                            ((2, 8, 8, 1), 2, 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_col2im_blocks_equal_the_slice_loop(shape, k, stride, dtype):
+    # each pixel sums its kernel offsets in the loop's (i, j) order, so the
+    # bytes agree; values spread over 1e±8 make any other order show
+    rng = np.random.default_rng(zlib.crc32(repr((shape, k, stride)).encode()))
+    b, h, w, c = shape
+    n = b * ((h - k) // stride + 1) * ((w - k) // stride + 1)
+    cols = (rng.standard_normal((n, k * k * c))
+            * 10.0 ** rng.integers(-8, 9, (n, k * k * c))).astype(dtype)
+    out = ad._col2im_values(cols, shape, k, k, stride)
+    ref = _col2im_slices(cols, shape, k, k, stride)
+    assert out.dtype == dtype and out.shape == shape
+    assert out.tobytes() == ref.tobytes()

@@ -750,7 +750,85 @@ def test_float32_config_keeps_every_array_float32(algo, env_id, monkeypatch):
     opts = [bundle.actor_opt, bundle.critic_opt, bundle.disc_opt]
     assert all(opt.t == 4 for opt in opts)
     for opt in opts:
-        for arr in opt.m + opt.v + [p.values for p in opt.params]:
+        for arr in [opt.flat, opt.m, opt.v] + [p.values for p in opt.params]:
             assert arr.dtype == np.float32
     for name, values in bundle.named_params():
         assert values.dtype == np.float32, name
+
+
+def _concat(arrays):
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def test_every_named_parameter_is_the_array_the_networks_read_and_the_optimizer_moves(
+        monkeypatch):
+    before = {}
+    update = imitate._update
+
+    def first_update(bundle, *args, **kwargs):
+        before.update((name, values.copy()) for name, values in bundle.named_params())
+        return update(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(imitate, "_update", first_update)
+    ds = _linear_expert_dataset(np.random.default_rng(30), n_episodes=2)
+    bundle = train("laifo", make_env("pointmass-v"), ds,
+                   small_cfg(frames=11, warmup=10, eval_interval=11)).bundle
+    opts = (bundle.actor_opt, bundle.critic_opt, bundle.disc_opt)
+    owner = {p.name: opt for opt in opts for p in opt.params}
+    leaves = {p.name: p for net in (bundle.actor, bundle.critics, bundle.enc, bundle.disc)
+              for p in net.params()}
+    named = bundle.named_params()
+    assert len(named) == len(owner) == len(leaves) == len(before)
+    for name, values in named:
+        assert values is leaves[name].values  # what the networks read
+        assert values.base is owner[name].flat
+    for opt in opts:
+        # the optimizer moved its flat array, and every parameter with it
+        assert not np.array_equal(opt.flat, _concat(before[p.name] for p in opt.params))
+        assert np.array_equal(opt.flat, _concat(p.values for p in opt.params))
+        # each parameter is its own slice, in order
+        opt.flat[...] = np.arange(opt.flat.size)
+        assert np.array_equal(_concat(p.values for p in opt.params), np.arange(opt.flat.size))
+
+
+def test_load_into_a_bundle_keeps_its_optimizers_bound(tmp_path):
+    cfg = small_cfg()
+    src, dst = _bundle(cfg, seed=1), _bundle(cfg, seed=2)
+    path = tmp_path / "bundle.ckpt"
+    src.save(path)
+    opts = (dst.actor_opt, dst.critic_opt, dst.disc_opt)
+    flats = [opt.flat for opt in opts]
+    nets.load_into([dst.actor, dst.critics, dst.enc, dst.disc], nets.load_checkpoint(path))
+    loaded = dict(src.named_params())
+    for opt, flat in zip(opts, flats):
+        assert opt.flat is flat
+        assert all(p.values.base is flat for p in opt.params)
+        assert np.array_equal(flat, _concat(loaded[p.name] for p in opt.params))
+    # a step still moves what the actor reads
+    z = np.random.default_rng(3).standard_normal((4, cfg.z_dim))
+    out = dst.actor.values(z)
+    dst.actor_opt.step([np.ones_like(p.values) for p in dst.actor_opt.params])
+    assert not np.array_equal(dst.actor.values(z), out)
+
+
+@pytest.mark.parametrize("float32", [False, True])
+def test_soft_update_moves_a_bundles_targets_by_exactly_tau(float32):
+    # the critic optimizer's flat array holds the heads, then the encoder;
+    # only the heads' slice may reach the targets
+    bundle = _bundle(small_cfg(float32=float32), seed=3)
+    crit = bundle.critics
+    rng = np.random.default_rng(4)
+    flat = bundle.critic_opt.flat
+    flat[...] = rng.standard_normal(flat.size)
+    targets = crit.t1.params() + crit.t2.params()
+    for t in targets:
+        t.values[...] = rng.standard_normal(t.shape)
+    heads = [p.values.copy() for p in crit.params()]
+    start = [t.values.copy() for t in targets]
+    tau = 0.3
+    crit.soft_update(tau)
+    for t, t0, q in zip(targets, start, heads, strict=True):
+        expected = t0 * (1.0 - tau)
+        expected += tau * q
+        assert t.values.dtype == q.dtype
+        assert t.values.tobytes() == expected.tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from laifo import nets
 from laifo.autodiff import (EAGER, GRAPH, ShapeMismatchError, apply, backward,
-                            finite_diff_check, tensor)
+                            finite_diff_check, pack, tensor)
 from laifo.nets import (CKPT_MAGIC, Actor, Mlp, PixelEncoder, TwinCritics,
                         VectorEncoder, act, discriminate, load_checkpoint,
                         save_checkpoint)
@@ -121,6 +121,13 @@ def test_soft_update_exact_affine():
         assert np.array_equal(t.values, b)
     with pytest.raises(ValueError, match="tau"):
         crit.soft_update(1.5)
+
+
+def test_soft_update_refuses_heads_that_do_not_lead_their_flat_array():
+    crit = TwinCritics(make_rng(18), z_dim=3, act_dim=1, hidden=8)
+    pack([tensor(np.ones(5))] + crit.params())  # an optimizer listing the heads last
+    with pytest.raises(ValueError, match="heads must lead"):
+        crit.soft_update(0.5)
 
 
 def test_discriminator_zero_score_gives_half():
