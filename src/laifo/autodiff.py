@@ -349,7 +349,8 @@ def _fw_affine(attrs, x, w, b):
 def _vjp_affine(E, g, node, live):
     act = node.attrs.get("act")
     if act == "relu":  # the output is positive exactly where the input was
-        g = E.mul(g, (node.values > 0).astype(node.dtype))
+        mask = node.values > 0  # a graph takes the mask as a node of the layer's dtype
+        g = E.mul(g, mask if E is EAGER else mask.astype(node.dtype))
     elif act == "tanh":  # 1 - y^2 from the output y, itself a graph node
         g = E.mul(g, E.add(E.neg(E.mul(node, node)), 1.0))
     x, w, _ = node.inputs
@@ -407,18 +408,19 @@ def _fw_sum(attrs, x):
 
 
 def _bcast_reduced(E, g, attrs, in_shape):
+    """The adjoint g of a reduction, spread over the reduced input's shape:
+    g copied to every position on arrays (no array of ones, and a
+    contiguous operand for BLAS), g times ones in a graph."""
     axis = attrs.get("axis")
-    keepdims = attrs.get("keepdims", False)
-    ones = np.ones(in_shape, dtype=E.v(g).dtype)
-    if axis is None:
-        return E.mul(g, ones)
-    if not keepdims:
+    if axis is not None and not attrs.get("keepdims", False):
         axes = (axis,) if np.isscalar(axis) else tuple(axis)
         kd = list(in_shape)
         for ax in axes:
             kd[ax] = 1
         g = E.op("reshape", g, shape=tuple(kd))
-    return E.mul(g, ones)
+    if E is EAGER:
+        return np.full(in_shape, g)
+    return E.mul(g, np.ones(in_shape, dtype=g.dtype))
 
 
 def _vjp_sum(E, g, node, live):

@@ -319,7 +319,7 @@ def update_actor(bundle, z, cfg, sigma, rng):
     pi = bundle.actor.forward(tensor(z))
     eps = rng.normal(0.0, sigma, size=pi.shape)
     if sigma > 0:
-        eps = np.clip(eps, -cfg.clip_c, cfg.clip_c)
+        eps = np.minimum(np.maximum(eps, -cfg.clip_c), cfg.clip_c)
     a_node = pi + tensor(eps.astype(z.dtype))
     q1, q2 = bundle.critics.forward(tensor(z), a_node)
     loss = -apply("mean", [apply("minimum", [q1, q2])])
@@ -523,12 +523,19 @@ def train(algo, env, expert_data, cfg, *, frames=None):
 
 def _update(bundle, buffer, sampler, cfg, sigma, rng, env_reward):
     """The update of one step; the batch and its graph die on return.
-    Returns the disc (0 without one), critic and actor losses and the mean
-    imitation reward."""
+    The random draws come in a fixed order: the agent batch, its two
+    shifts, then the expert batch and its shifts. The eager encoder passes
+    (z' and the expert rows) run before the graph pass on the agent
+    windows, so that their temporaries are freed before the graph holds
+    its own. Returns the disc (0 without one), critic and actor losses and
+    the mean imitation reward."""
     batch = buffer.sample_stacked(cfg.batch, cfg.d, rng)
-    z_node = bundle.enc.forward(augment.random_shift_batch(batch.windows, cfg.pad, rng))
-    z, z_next = z_node.values, bundle.enc.values(
-        augment.random_shift_batch(batch.next_windows, cfg.pad, rng))
+    windows = augment.random_shift_batch(batch.windows, cfg.pad, rng)
+    z_next = bundle.enc.values(augment.random_shift_batch(batch.next_windows, cfg.pad, rng))
+    expert_pairs = None if bundle.disc is None else _expert_pairs(bundle, sampler, cfg, rng)
+    z_node = bundle.enc.forward(windows)
+    del windows  # the graph keeps only its own input
+    z = z_node.values
     actions = batch.actions.astype(z.dtype)
     disc_loss = 0.0
     if bundle.disc is None:
@@ -536,8 +543,7 @@ def _update(bundle, buffer, sampler, cfg, sigma, rng, env_reward):
     else:
         right = actions if bundle.pairing == "action" else z_next
         pairs = np.concatenate([z, right], axis=1)
-        disc_loss, _ = update_discriminator(
-            bundle, _expert_pairs(bundle, sampler, cfg, rng), pairs, cfg, rng)
+        disc_loss, _ = update_discriminator(bundle, expert_pairs, pairs, cfg, rng)
         reward = cfg.imit_reward_scale * nets.discriminate(bundle.disc, pairs)
     imit_mean = float(reward.mean())
     if env_reward:
@@ -547,13 +553,15 @@ def _update(bundle, buffer, sampler, cfg, sigma, rng, env_reward):
 
 
 def _expert_pairs(bundle, sampler, cfg, rng):
-    """(z, a) or (z, z') rows of a freshly sampled, augmented expert batch."""
+    """(z, a) or (z, z') rows of a freshly sampled, augmented expert batch;
+    both shifts are drawn before either encoder pass."""
     with_actions = bundle.pairing == "action"
     batch = sampler.sample(cfg.batch, rng, with_actions)
-    z = bundle.enc.values(augment.random_shift_batch(batch.windows, cfg.pad, rng))
-    right = (batch.actions.astype(z.dtype) if with_actions else bundle.enc.values(
-        augment.random_shift_batch(batch.next_windows, cfg.pad, rng)))
-    return np.concatenate([z, right], axis=1)
+    windows = augment.random_shift_batch(batch.windows, cfg.pad, rng)
+    right = (batch.actions if with_actions else
+             bundle.enc.values(augment.random_shift_batch(batch.next_windows, cfg.pad, rng)))
+    z = bundle.enc.values(windows)
+    return np.concatenate([z, right.astype(z.dtype, copy=False)], axis=1)
 
 
 def _bc_update(bundle, sampler, cfg, rng):

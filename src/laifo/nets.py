@@ -233,10 +233,11 @@ def act(actor, z, sigma, clip_c, rng):
     if sigma > 0:
         eps = rng.normal(0.0, sigma, size=mean.shape)
         if clip_c is not None:
-            eps = np.clip(eps, -clip_c, clip_c)
+            eps = np.minimum(np.maximum(eps, -clip_c), clip_c)
     else:
         eps = 0.0
-    out = np.clip(mean + eps, -1.0, 1.0)
+    # np.clip's arithmetic, without its Python wrapper
+    out = np.minimum(np.maximum(mean + eps, -1.0), 1.0)
     return out[0] if np.asarray(z).ndim == 1 else out
 
 

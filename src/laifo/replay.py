@@ -11,44 +11,70 @@ window-assembly path: the expert sampler fills a ring of exactly its
 dataset's size in bulk, leaving it as pushing every frame in order would,
 and gathers through the same code as the agent's buffer.
 
-Image frames (two or more axes) are stored as the uint8 codes 2·x, a
-quarter of their float32 size. The renderer emits only 0, 0.5 and 1, so
-the codes are lossless and a sampled window is bit-equal to the float32
-frames pushed. An image frame holding any other value, -0.0 included,
-is refused, whether pushed or in an expert dataset. Vector frames are
-stored as float32.
+Image frames (two or more axes) are stored as their 2-bit codes 2·x,
+four pixels a byte (the first pixel in the low bits, the last byte of a
+frame padded with zero codes), a sixteenth of their float32 size. The
+renderer emits only float32 0, 0.5 and 1, so the codes are lossless: a
+gathered batch decodes through one table from a byte to its four float32
+pixels, bit-equal to the frames pushed. An image frame that is not
+float32, or holds any other value, -0.0 included, is refused, whether
+pushed or in an expert dataset. Vector frames are stored as float32.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DATASET_MAGIC = b"LAIFO1"
+_IMAGE_VALUES = "image frames must hold only 0, 0.5 and 1, as float32"
 # the float32 bit patterns of the two nonzero image values with a code
 _HALF_BITS, _ONE_BITS = np.float32([0.5, 1.0]).view(np.uint32)
+# c0 + c1·2^8 + c2·2^16 + c3·2^24 (four byte codes read as one
+# little-endian word) times this holds c0 + c1·2^2 + c2·2^4 + c3·2^6 in
+# its top byte, the word's fourth: no two of the other products overlap
+# or carry into it
+_PACK = np.uint32(1 << 24 | 1 << 18 | 1 << 12 | 1 << 6)
+_WORD = np.dtype("<u4")
+# byte b -> the four float32 pixels 0.5·((b >> 2k) & 3), as one 16-byte item
+_UNPACK = (0.5 * (np.arange(256)[:, None] >> np.arange(0, 8, 2) & 3)).astype(
+    np.float32).view("V16")[:, 0]
 
 
-def _encode(frames):
-    """The uint8 codes 2·x of float32 image frames, or None unless every
-    value is bitwise 0.0, 0.5 or 1.0, i.e. unless the codes decode to the
-    frames bit for bit."""
+def _encode(frames, pixels):
+    """The (n, ⌈pixels/4⌉) packed 2-bit codes 2·x of n float32 image frames
+    of `pixels` values each, or None unless every value is bitwise 0.0,
+    0.5 or 1.0, i.e. unless the codes decode to the frames bit for bit."""
     if frames.dtype != np.float32:
         return None
     bits = frames.view(np.uint32)
     one = (bits == _ONE_BITS).view(np.uint8)
-    codes = (bits == _HALF_BITS).view(np.uint8) + one
+    codes = (bits == _HALF_BITS).view(np.uint8)
+    codes += one
     codes += one
     # codes are nonzero exactly where bits are 0.5 or 1.0; any other
     # nonzero pattern (-0.0 and NaN included) leaves the counts unequal
-    return codes if np.count_nonzero(codes) == np.count_nonzero(bits) else None
+    if np.count_nonzero(codes) != np.count_nonzero(bits):
+        return None
+    codes = codes.reshape(-1, pixels)
+    if pixels % 4:
+        codes = np.pad(codes, ((0, 0), (0, -pixels % 4)))
+    words = codes.view(_WORD)
+    words *= _PACK
+    return words.view(np.uint8)[:, 3::4]
 
 
-def _decode(codes):
-    return np.multiply(codes, np.float32(0.5), dtype=np.float32)
+def _decode(packed, obs_shape):
+    """The float32 frames (..., *obs_shape) of packed codes (..., bytes)."""
+    frames = _UNPACK.take(packed).view(np.float32)
+    pixels = math.prod(obs_shape)
+    if frames.shape[-1] != pixels:
+        frames = frames[..., :pixels]
+    return frames.reshape(*packed.shape[:-1], *obs_shape)
 
 
 @dataclass
@@ -63,8 +89,9 @@ class StackedBatch:
 
 class ReplayBuffer:
     """Ring of the last `capacity` frames with the action and reward of the
-    transition into each. Image frames are kept as the uint8 codes 2·x and
-    must hold only 0, 0.5 and 1; vector frames are kept as float32."""
+    transition into each. Image frames are kept as packed 2-bit codes 2·x
+    and must be float32 holding only 0, 0.5 and 1; vector frames are kept
+    as float32."""
 
     def __init__(self, capacity, obs_shape, act_shape):
         if capacity < 2:
@@ -72,8 +99,10 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.obs_shape = tuple(obs_shape)
         self.act_shape = tuple(act_shape)
-        self._obs = np.zeros((self.capacity, *self.obs_shape),
-                             dtype=np.uint8 if len(self.obs_shape) >= 2 else np.float32)
+        self._pixels = math.prod(self.obs_shape) if len(self.obs_shape) >= 2 else None
+        self._obs = (np.zeros((self.capacity, *self.obs_shape), dtype=np.float32)
+                     if self._pixels is None else
+                     np.zeros((self.capacity, -(-self._pixels // 4)), dtype=np.uint8))
         self._act = np.zeros((self.capacity, *self.act_shape), dtype=np.float32)
         self._rew = np.zeros(self.capacity, dtype=np.float64)
         self._age = np.full(self.capacity, -1, dtype=np.int64)
@@ -82,14 +111,14 @@ class ReplayBuffer:
         self._prev_done = True
 
     def push(self, observation, action=None, reward=0.0, done=False):
-        obs = np.asarray(observation, dtype=np.float32)
+        obs = np.asarray(observation)
         if obs.shape != self.obs_shape:
             raise ValueError(
                 f"observation shape {obs.shape} does not match buffer {self.obs_shape}")
-        if self._obs.dtype == np.uint8:
-            obs = _encode(obs)
+        if self._pixels:
+            obs = _encode(obs, self._pixels)
             if obs is None:
-                raise ValueError("image frames must hold only 0, 0.5 and 1")
+                raise ValueError(_IMAGE_VALUES)
         if action is None:
             if not self._prev_done:
                 raise ValueError("action=None is only valid for an episode's first frame")
@@ -159,7 +188,7 @@ class ReplayBuffer:
     def _frames(self, slots):
         """The float32 frames stored at `slots`."""
         frames = self._obs[slots]
-        return _decode(frames) if frames.dtype == np.uint8 else frames
+        return frames if self._pixels is None else _decode(frames, self.obs_shape)
 
     def _gather(self, picks, d):
         """The StackedBatch of the transitions starting at slots `picks`."""
@@ -356,10 +385,10 @@ class ExpertWindowSampler:
         for k, ep in enumerate(dataset.episodes):
             end = start + len(ep)
             frames = ep.observations
-            if ring._obs.dtype == np.uint8:
-                frames = _encode(frames)
+            if ring._pixels:
+                frames = _encode(frames, ring._pixels)
                 if frames is None:  # a LAIFO1 file may hold any float32
-                    raise ValueError(f"episode {k}: image frames must hold only 0, 0.5 and 1")
+                    raise ValueError(f"episode {k}: {_IMAGE_VALUES}")
             ring._obs[start:end] = frames
             if ep.actions is not None:
                 ring._act[start + 1:end] = ep.actions

@@ -431,3 +431,28 @@ def test_col2im_blocks_equal_the_slice_loop(shape, k, stride, dtype):
     ref = _col2im_slices(cols, shape, k, k, stride)
     assert out.dtype == dtype and out.shape == shape
     assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind, act", [("sum", None), ("mean", None), ("mean", "relu"),
+                                       ("sum", "matmul")])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reduction_adjoints_equal_the_ones_product(kind, act, dtype):
+    # the eager adjoint of a sum or mean is g copied to every position; the
+    # gradients it feeds equal those of g multiplied into an array of ones,
+    # through BLAS, bit for bit (numpy's own matmul loop, which a broadcast
+    # view would take, differs on the one-column output of a critic head)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((37, 5)).astype(dtype)
+    w = tensor(rng.standard_normal((5, 1)).astype(dtype))
+    b = tensor(rng.standard_normal(1).astype(dtype))
+    if act == "matmul":
+        out = apply("matmul", [tensor(x), w])
+    else:
+        out = apply("affine", [tensor(x), w, b], act=act)
+    gw, = backward(apply(kind, [out]), [w])
+    one = np.ones((), dtype=dtype)
+    g = np.full(out.shape, one * (1.0 / out.size) if kind == "mean" else one)
+    if act == "relu":
+        g = g * (out.values > 0).astype(dtype)
+    assert gw.dtype == dtype
+    assert gw.tobytes() == (x.T @ np.ascontiguousarray(g)).tobytes()

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -364,7 +365,7 @@ def _frames(rng, shape):
 @pytest.mark.parametrize("with_actions", [False, True])
 @pytest.mark.parametrize("with_rewards", [False, True])
 def test_expert_sampler_ring_equals_frame_by_frame_pushes(with_actions, with_rewards):
-    for obs_shape in ((3,), (32, 32)):  # a float32 ring and a uint8 one
+    for obs_shape in ((3,), (32, 32)):  # a float32 ring and a packed one
         rng = np.random.default_rng(50)
         eps = [Episode(_frames(rng, (n, *obs_shape)),
                        rng.standard_normal((n - 1, 2)).astype(np.float32)
@@ -412,12 +413,23 @@ def test_expert_sampler_matches_clamped_reference(d, obs_shape):
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_image_frames_are_stored_as_uint8_codes():
-    for shape in ((32, 32), (84, 84)):
-        assert ReplayBuffer(8, shape, (2,))._obs.dtype == np.uint8
+def _resident_mb():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def test_image_frames_are_stored_as_packed_2bit_codes():
+    # four pixels a byte; 15 pixels take 4 bytes, the last one padded
+    for shape, row in (((32, 32), 256), ((84, 84), 1764), ((5, 3), 4)):
+        obs = ReplayBuffer(8, shape, (2,))._obs
+        assert obs.dtype == np.uint8 and obs.shape == (8, row)
     assert ReplayBuffer(8, (2,), (2,))._obs.dtype == np.float32
     # np.zeros is lazy: this default-capacity px84 ring touches no memory
-    assert ReplayBuffer(100_000, (84, 84), (2,))._obs.nbytes == 705_600_000
+    before = _resident_mb() if os.path.exists("/proc/self/statm") else None
+    ring = ReplayBuffer(100_000, (84, 84), (2,))._obs
+    assert ring.nbytes == 176_400_000
+    if before is not None:
+        assert _resident_mb() - before < 16
 
 
 def test_pushed_rendered_frames_sample_back_bit_equal():
@@ -449,18 +461,76 @@ def test_pushed_rendered_frames_sample_back_bit_equal():
 def test_encode_accepts_bitwise_zero_half_and_one_only(value, code):
     frames = np.full((3, 6, 8), 0.5, dtype=np.float32)
     frames[1, 2, 3] = value
-    # contiguous, and strided through frames[1, 2, 3]
+    # contiguous (48 pixels a frame), and strided through frames[1, 2, 3]
+    # (9 pixels a frame, so the last byte is padded)
     for view, at in ((frames, (1, 2, 3)), (frames[:, ::2, ::3], (1, 1, 1))):
-        codes = _encode(view)
+        pixels = view[0].size
+        packed = _encode(view, pixels)
         if code is None:
-            assert codes is None
+            assert packed is None
             continue
-        assert codes.dtype == np.uint8 and codes.shape == view.shape
-        assert codes[at] == code
-        assert _decode(codes).tobytes() == np.ascontiguousarray(view).tobytes()
+        assert packed.dtype == np.uint8 and packed.shape == (3, -(-pixels // 4))
+        p = np.ravel_multi_index(at[1:], view.shape[1:])
+        assert packed[at[0], p // 4] >> 2 * (p % 4) & 3 == code
+        assert _decode(packed, view.shape[1:]).tobytes() == np.ascontiguousarray(view).tobytes()
     # float64 frames are never coded, whatever they hold
-    assert _encode(frames.astype(np.float64)) is None
-    assert _encode(np.zeros((3, 6, 8))) is None
+    assert _encode(frames.astype(np.float64), 48) is None
+    assert _encode(np.zeros((3, 6, 8)), 48) is None
+
+
+def test_decode_table_maps_every_byte_to_its_four_pixels():
+    every = np.arange(256, dtype=np.uint8)
+    frames = _decode(every[:, None], (2, 2))
+    want = np.array([[0.5 * (b >> 2 * k & 3) for k in range(4)] for b in range(256)],
+                    dtype=np.float32)
+    assert frames.dtype == np.float32 and frames.shape == (256, 2, 2)
+    assert frames.reshape(256, 4).tobytes() == want.tobytes()
+    # the 81 bytes whose four codes are 0, 1 or 2 encode back to themselves
+    valid = (want <= 1.0).all(axis=1)
+    assert valid.sum() == 81
+    assert np.array_equal(_encode(frames[valid], 4)[:, 0], every[valid])
+
+
+def test_push_sample_round_trip_at_an_odd_pixel_count():
+    rng = np.random.default_rng(11)
+    buf = ReplayBuffer(40, (5, 3), (2,))
+    pushed = np.zeros((buf.capacity, 5, 3), dtype=np.float32)
+    for _ in range(12):  # about 60 frames: the ring wraps
+        n = int(rng.integers(2, 9))
+        for t in range(n):
+            frame = (rng.integers(0, 3, size=(5, 3)) * 0.5).astype(np.float32)
+            pushed[buf._idx] = frame
+            buf.push(frame, None if t == 0 else rng.uniform(-1, 1, size=2), done=t == n - 1)
+    assert buf.size == buf.capacity and buf._obs.shape == (40, 4)
+    assert np.all(buf._obs[:, -1] >> 6 == 0)  # the 16th pixel's code is the padding 0
+    picks = buf._sample_sources(64, rng)
+    batch = buf._gather(picks, 3)
+    assert batch.windows.dtype == np.float32 and batch.windows.shape == (64, 3, 5, 3)
+    assert np.array_equal(batch.windows, pushed[buf._window_indices(picks, 3)])
+    assert np.array_equal(batch.next_windows,
+                          pushed[buf._window_indices((picks + 1) % buf.capacity, 3)])
+
+
+@pytest.mark.parametrize("bad", ["-0.0", "nan", "0.25", "float64"])
+def test_push_and_expert_sampler_refuse_the_same_image_frames(bad):
+    frames = np.full((3, 5, 3), 0.5, dtype=np.float32)
+    if bad == "float64":  # holding only 0.5, which float32 holds exactly
+        frames = frames.astype(np.float64)
+    else:
+        frames[2, 4, 1] = float(bad)
+    buf = ReplayBuffer(8, (5, 3), (2,))
+    buf.push(frames[0].astype(np.float32), action=None)
+    ring = buf._obs.copy()
+    with pytest.raises(ValueError, match="image frames must hold only 0, 0.5 and 1, as float32"):
+        buf.push(frames[2], action=np.zeros(2))
+    assert buf.size == 1 and np.array_equal(buf._obs, ring)
+    ds = ExpertDataset("pointmass-px32", (5, 3), (2,), [
+        Episode(frames, np.zeros((2, 2), dtype=np.float32), np.zeros(2, dtype=np.float32))])
+    # NaN fails the dataset's finiteness check before the codes are made
+    message = ("episode 0: observations hold NaN or inf" if bad == "nan" else
+               "episode 0: image frames must hold only 0, 0.5 and 1, as float32")
+    with pytest.raises(ValueError, match=message):
+        ExpertWindowSampler(ds, 2)
 
 
 @pytest.mark.parametrize("value", [0.25, -0.5, 1.5, np.nan, -0.0, np.inf, -np.inf])
@@ -475,7 +545,7 @@ def test_push_refuses_image_frames_without_a_code(value):
             buf.push(bad, action=action)
         assert (buf._idx, buf.size) == before[:2]
         assert np.array_equal(buf._age, before[2]) and np.array_equal(buf._obs, before[3])
-        buf.push(np.full((4, 4), 0.5), action=action, done=done)
+        buf.push(np.full((4, 4), 0.5, dtype=np.float32), action=action, done=done)
 
 
 @pytest.mark.parametrize("stray", [None, 0.3, -0.0])
