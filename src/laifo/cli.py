@@ -15,10 +15,11 @@ from dataclasses import fields
 import numpy as np
 
 from . import expertgen, imitate, nets, replay, theory
-from .envs import FullyObservableWrapper, make_env, make_tabular
-from .imitate import CapabilityError, Config
+from .envs import FullyObservableWrapper, make_env
+from .imitate import CapabilityError, Config, ReportRow
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(Config))
+_METRICS_HEADER = tuple(f.name for f in fields(ReportRow))
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -69,11 +70,17 @@ def _dataset_hash(path):
 
 
 def _write_run_dir(out_dir, report, ckpt, **meta):
-    """A run directory: `metrics.csv`, the trained bundle as `ckpt`,
-    `config.txt` (the configuration as the run resolved it) and
-    `meta.json` (the `meta` entries)."""
+    """A run directory: `metrics.csv` (a `ReportRow` a line), the trained
+    bundle as `ckpt`, `config.txt` (the configuration as the run resolved
+    it) and `meta.json` (the `meta` entries)."""
     os.makedirs(out_dir, exist_ok=True)
-    report.to_csv(os.path.join(out_dir, "metrics.csv"))
+    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(_METRICS_HEADER)
+        w.writerows([r.frame, r.episode, f"{r.eval_return:.10g}", f"{r.disc_loss:.10g}",
+                     f"{r.critic_loss:.10g}", f"{r.actor_loss:.10g}",
+                     f"{r.imit_reward_mean:.10g}", f"{r.wall_clock_s:.3f}", r.seed]
+                    for r in report.rows)
     report.bundle.save(os.path.join(out_dir, ckpt))
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         f.writelines(f"{key}={getattr(report.cfg, key)}\n" for key in _CONFIG_FIELDS)
@@ -113,8 +120,8 @@ def _load_state_policy(ckpt_path, env):
     if any(n.startswith("enc.") for n in loaded):
         raise ValueError(f"{ckpt_path}: the checkpoint has encoder parameters, so its "
                          f"actor acts on latents, not on the state")
-    actor = nets.Actor(np.random.default_rng(0), env.state_dim, env.act_dim,
-                       hidden=first.shape[1])
+    actor = nets.make_actor(np.random.default_rng(0), env.state_dim, env.act_dim,
+                            hidden=first.shape[1])
     nets.load_into([actor], loaded)
     return expertgen.StatePolicy(imitate.AgentBundle(actor=actor))
 
@@ -147,8 +154,8 @@ def cmd_record(args):
 def cmd_imitate(args):
     cfg = _build_config(args)
     env = make_env(args.env, seed=cfg.seed, reward_mode=args.reward_mode)
-    expert_data = replay.load_dataset(args.expert_data)
-    report = imitate.train(args.algo, env, expert_data, cfg)
+    # unnamed, so that `train` holds the only reference and frees the frames
+    report = imitate.train(args.algo, env, replay.load_dataset(args.expert_data), cfg)
     meta = {"kind": "imitate", "algo": args.algo, "env": args.env, "seed": cfg.seed,
             "expert_data_sha256": _dataset_hash(args.expert_data)}
     if report.expert_score is not None:
@@ -158,35 +165,6 @@ def cmd_imitate(args):
     return 0
 
 
-_CLAIM_SIZES = {
-    "theorem1": ("mdp", (3, 16), (2, 4), 1),
-    "theorem2": ("mdp", (3, 16), (2, 4), 1),
-    "corollary1": ("injective-deterministic", (4, 16), (2, 4), 1),
-    "lemma1": ("mdp", (3, 12), (2, 4), 1),
-    "lemma2": ("mdp", (3, 12), (2, 4), 1),
-    "theorem3": ("mdp", (3, 6), (2, 3), 2),
-    "lemma4": ("mdp", (3, 12), (2, 4), 1),
-}
-
-
-def verify_instances(claim, n_instances, seed):
-    """BoundReports for generated instances of one claim."""
-    rng = np.random.default_rng(seed)
-    reports = []
-    structure, s_range, a_range, k = _CLAIM_SIZES[claim]
-    scheme = theory.LatentScheme(k)
-    for i in range(n_instances):
-        n_s = int(rng.integers(s_range[0], s_range[1] + 1))
-        n_a = int(rng.integers(a_range[0], min(a_range[1], n_s) + 1))
-        pomdp = make_tabular(structure, n_s, n_a,
-                             seed=int(rng.integers(2**31)), gamma=0.9)
-        step = theory.pair_step(pomdp, scheme)
-        policy_theta = theory.random_policy(len(step.windows), n_a, rng)
-        policy_expert = theory.random_policy(len(step.windows), n_a, rng)
-        reports.append(theory.verify(claim, pomdp, step, policy_theta, policy_expert))
-    return reports
-
-
 def cmd_verify_theory(args):
     if args.instances < 1:
         raise ValueError(f"--instances must be >= 1, got {args.instances}")
@@ -194,7 +172,7 @@ def cmd_verify_theory(args):
     all_reports = []
     failed = 0
     for claim in claims:
-        reports = verify_instances(claim, args.instances, args.seed)
+        reports = theory.verify_instances(claim, args.instances, args.seed)
         all_reports.extend(reports)
         slacks = np.array([r.slack for r in reports])
         ok = int(np.sum(slacks >= -1e-8))
@@ -213,20 +191,35 @@ def cmd_verify_theory(args):
 
 
 def read_run_dir(run_dir):
-    meta_path = os.path.join(run_dir, "meta.json")
-    with open(meta_path) as f:
+    """The `meta.json` of an imitation run directory, and the (frame,
+    eval_return) of each `metrics.csv` row. A file that lacks an entry or
+    holds one of another type is refused, naming the directory."""
+    with open(os.path.join(run_dir, "meta.json")) as f:
         meta = json.load(f)
+    what = f"{run_dir}: meta.json"
+    if not isinstance(meta, dict):
+        raise ValueError(f"{what} holds {meta!r}, not an object")
     if "algo" not in meta:
         raise ValueError(f"{run_dir}: not an imitation run (meta.json names no algo)")
     if "expert_score" not in meta:
         raise ValueError(f"{run_dir}: no expert score recorded")
-    if float(meta["expert_score"]) == 0.0:
+    replay._require(meta, {"algo": str, "env": str, "seed": int, "expert_score": float},
+                    what)
+    if meta["expert_score"] == 0.0:
         raise ValueError(f"{run_dir}: the expert score is 0, so returns cannot "
                          f"be normalized by it")
     rows = []
-    with open(os.path.join(run_dir, "metrics.csv")) as f:
-        for row in csv.DictReader(f):
-            rows.append(row)
+    with open(os.path.join(run_dir, "metrics.csv"), newline="") as f:
+        reader = csv.DictReader(f)
+        if tuple(reader.fieldnames or ()) != _METRICS_HEADER:
+            raise ValueError(f"{run_dir}: metrics.csv header {reader.fieldnames} is not "
+                             f"{list(_METRICS_HEADER)}")
+        for row in reader:
+            try:
+                rows.append((int(row["frame"]), float(row["eval_return"])))
+            except (TypeError, ValueError):
+                raise ValueError(f"{run_dir}: metrics.csv line {reader.line_num} "
+                                 f"does not hold a frame and a return") from None
     if not rows:
         raise ValueError(f"{run_dir}: empty metrics file")
     return meta, rows
@@ -237,17 +230,13 @@ def aggregate_runs(run_dirs):
     out = []
     for run_dir in run_dirs:
         meta, rows = read_run_dir(run_dir)
-        expert = float(meta["expert_score"])
-        final = float(rows[-1]["eval_return"])
-        frames_to = ""
-        for row in rows:
-            if float(row["eval_return"]) >= 0.75 * expert:
-                frames_to = int(row["frame"])
-                break
+        expert = meta["expert_score"]
+        final = rows[-1][1]
+        frames_to = next((frame for frame, ret in rows if ret >= 0.75 * expert), "NA")
         out.append({
             "algo": meta["algo"], "env": meta["env"], "seed": meta["seed"],
             "final_return": final, "normalized_return": final / expert,
-            "frames_to_75pct": frames_to if frames_to != "" else "NA",
+            "frames_to_75pct": frames_to,
         })
     return out
 

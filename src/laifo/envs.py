@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ENV_IDS = ("pointmass-v", "pointmass-px32", "pointmass-px84", "pendulum-po")
-
 
 class EpisodeDone(RuntimeError):
     """Raised when step() is called after the episode ended."""
@@ -288,6 +286,7 @@ def make_tabular(structure, n_states, n_actions, n_obs=None, seed=0, gamma=0.9):
 
 _POINTMASS_VIEWS = {"pointmass-v": ("vector", 32), "pointmass-px32": ("pixel", 32),
                     "pointmass-px84": ("pixel", 84)}
+ENV_IDS = (*_POINTMASS_VIEWS, "pendulum-po")
 
 
 def make_env(env_id, seed=0, reward_mode="dense"):

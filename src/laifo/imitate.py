@@ -13,7 +13,6 @@ onto the expert's actions from an unaugmented expert batch.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -116,9 +115,6 @@ class ReportRow:
     seed: int
 
 
-METRICS_HEADER = tuple(fld.name for fld in fields(ReportRow))
-
-
 @dataclass
 class TrainReport:
     algo: str
@@ -132,16 +128,6 @@ class TrainReport:
         if not self.rows:
             raise ValueError("empty report")
         return self.rows[-1].eval_return
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(METRICS_HEADER)
-            for r in self.rows:
-                w.writerow([r.frame, r.episode, f"{r.eval_return:.10g}",
-                            f"{r.disc_loss:.10g}", f"{r.critic_loss:.10g}",
-                            f"{r.actor_loss:.10g}", f"{r.imit_reward_mean:.10g}",
-                            f"{r.wall_clock_s:.3f}", r.seed])
 
 
 class Adam:
@@ -198,7 +184,7 @@ class AgentBundle:
     learner does not train is None: behavioral cloning (`pairing` None)
     has only the encoder and the actor, whose optimizer steps both."""
 
-    actor: nets.Actor = None
+    actor: nets.Mlp = None
     critics: nets.TwinCritics = None
     enc: object = None
     disc: nets.Mlp = None
@@ -229,7 +215,7 @@ def build_bundle(cfg, obs_shape, act_dim, pairing, rng, full_state=False,
         enc = nets.VectorEncoder(rng, obs_shape[0], cfg.d, cfg.z_dim,
                                  hidden=cfg.hidden, dtype=dtype)
     z_dim = enc.z_dim
-    actor = nets.Actor(rng, z_dim, act_dim, hidden=cfg.hidden, dtype=dtype)
+    actor = nets.make_actor(rng, z_dim, act_dim, hidden=cfg.hidden, dtype=dtype)
     if pairing is None:  # bc's actor regresses through the encoder
         return AgentBundle(actor=actor, enc=enc, pairing=None,
                            actor_opt=Adam(actor.params() + enc.params(), cfg.lr))
@@ -466,6 +452,7 @@ def train(algo, env, expert_data, cfg, *, frames=None):
     report = TrainReport(algo=algo, env_id=env.env_id, cfg=cfg, bundle=bundle)
     if expert_data is not None and expert_data.has_rewards:
         report.expert_score = expert_data.mean_return()
+    del expert_data  # the sampler's ring holds the frames it needs
 
     if acts:
         buffer = ReplayBuffer(cfg.capacity, env.obs_shape, (env.act_dim,))

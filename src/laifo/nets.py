@@ -1,7 +1,7 @@
 """The parameterized functions of the imitation game: feature extractors,
-actor, and twin critics with slow targets. The discriminator is a plain
-`Mlp` over concatenated (z, right) rows; `imitate` decides whether the
-right input is the successor latent z' or the action a.
+actor, and twin critics with slow targets. The actor and the
+discriminator are plain `Mlp`s, the latter over (z, right) rows; `imitate`
+decides whether the right input is the successor latent z' or the action a.
 
 Each network writes its forward pass once, as `run(E, ...)` on an
 autodiff executor: `autodiff.GRAPH` builds differentiable nodes (for
@@ -202,25 +202,12 @@ class PixelEncoder:
         return self.conv_w + self.conv_b + [self.head_w, self.head_b]
 
 
-class Actor:
-    """Deterministic policy head: latent to an action in [-1, 1]^dim via
-    a final tanh squash; exploration noise is added outside the network."""
-
-    def __init__(self, rng, z_dim, act_dim, hidden=256, dtype=np.float64):
-        self.mlp = Mlp(rng, [z_dim, hidden, hidden, act_dim], activation="relu",
-                       zero_last=True, name="actor", dtype=dtype, out_activation="tanh")
-
-    def run(self, E, z):
-        return self.mlp.run(E, z)
-
-    def forward(self, z):
-        return self.run(GRAPH, z)
-
-    def values(self, z):
-        return self.run(EAGER, z)
-
-    def params(self):
-        return self.mlp.params()
+def make_actor(rng, z_dim, act_dim, hidden=256, dtype=np.float64):
+    """The deterministic policy head, an `Mlp` from latent to an action in
+    [-1, 1]^dim via a final tanh squash, its last layer zero; exploration
+    noise is added outside the network."""
+    return Mlp(rng, [z_dim, hidden, hidden, act_dim], activation="relu",
+               zero_last=True, name="actor", dtype=dtype, out_activation="tanh")
 
 
 def act(actor, z, sigma, clip_c, rng):

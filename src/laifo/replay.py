@@ -141,11 +141,10 @@ class ReplayBuffer:
         self._prev_done = bool(done)
 
     def _valid_sources(self, idx):
-        """Mask of slots that start a stored transition: the next ring slot
-        holds the same episode's next frame (age + 1) and the slot is not the
-        newest frame (whose ring successor is the oldest or unwritten)."""
-        age = self._age[idx]
-        ok = (age >= 0) & (self._age[(idx + 1) % self.capacity] == age + 1)
+        """Mask of slots that start a stored transition: the next slot holds
+        a frame of age > 0, pushed right after this slot's frame, and this
+        slot is not the newest (the only one rewritten since then)."""
+        ok = self._age[(idx + 1) % self.capacity] > 0
         return ok & (idx != (self._idx - 1) % self.capacity)
 
     def _transition_sources(self):
@@ -374,7 +373,7 @@ class ExpertWindowSampler:
         if any(len(ep) < 2 for ep in dataset.episodes):
             raise ValueError("every expert episode needs at least 2 observations")
         dataset.validate()
-        self.dataset = dataset
+        self.has_actions = dataset.has_actions
         self.d = d
         # the ring as pushing every frame in order leaves it: an episode's
         # first frame carries zero action and reward, the ring is full (its
@@ -404,7 +403,7 @@ class ExpertWindowSampler:
         """A StackedBatch of uniformly drawn transitions; its actions are
         None unless `with_actions`."""
         picks = self._sources[rng.integers(0, len(self._sources), size=batch)]
-        if with_actions and not self.dataset.has_actions:
+        if with_actions and not self.has_actions:
             raise ValueError("expert dataset has no actions")
         out = self._ring._gather(picks, self.d)
         if not with_actions:

@@ -17,6 +17,8 @@ tables alone and never repeats the search or the solve.
 Monte-Carlo rollouts serve as an independent oracle: they take the
 latent scheme and sample from T, U and their own window-shift table, not
 from the edge arrays, so a fault in the edges cannot hide in both.
+`verify_instances` checks a claim on instances generated at its
+`CLAIM_INSTANCES` sizes, as `laifo verify-theory` does.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envs import make_tabular
+
 BLANK = -1
 MAX_STATES = 32
 MAX_ACTIONS = 8
@@ -33,8 +37,17 @@ MAX_WINDOW = 2
 
 TWO_LN_2 = 2.0 * np.log(2.0)
 
-CLAIMS = ("theorem1", "theorem2", "corollary1", "theorem3",
-          "lemma1", "lemma2", "lemma4")
+# per claim: (make_tabular structure, |S| range, |A| range, window length k)
+CLAIM_INSTANCES = {
+    "theorem1": ("mdp", (3, 16), (2, 4), 1),
+    "theorem2": ("mdp", (3, 16), (2, 4), 1),
+    "corollary1": ("injective-deterministic", (4, 16), (2, 4), 1),
+    "theorem3": ("mdp", (3, 6), (2, 3), 2),
+    "lemma1": ("mdp", (3, 12), (2, 4), 1),
+    "lemma2": ("mdp", (3, 12), (2, 4), 1),
+    "lemma4": ("mdp", (3, 12), (2, 4), 1),
+}
+CLAIMS = tuple(CLAIM_INSTANCES)
 
 
 @dataclass(frozen=True)
@@ -401,6 +414,24 @@ def verify(claim, pomdp, step, policy_theta, policy_expert):
 
 def random_policy(n_windows, n_actions, rng, concentration=1.0):
     return rng.dirichlet(np.full(n_actions, concentration), size=n_windows)
+
+
+def verify_instances(claim, n_instances, seed):
+    """BoundReports of generated instances of a claim, two random policies each."""
+    rng = np.random.default_rng(seed)
+    reports = []
+    structure, s_range, a_range, k = CLAIM_INSTANCES[claim]
+    scheme = LatentScheme(k)
+    for _ in range(n_instances):
+        n_s = int(rng.integers(s_range[0], s_range[1] + 1))
+        n_a = int(rng.integers(a_range[0], min(a_range[1], n_s) + 1))
+        pomdp = make_tabular(structure, n_s, n_a,
+                             seed=int(rng.integers(2**31)), gamma=0.9)
+        step = pair_step(pomdp, scheme)
+        policy_theta = random_policy(len(step.windows), n_a, rng)
+        policy_expert = random_policy(len(step.windows), n_a, rng)
+        reports.append(verify(claim, pomdp, step, policy_theta, policy_expert))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ import pytest
 
 from laifo import nets
 from laifo.autodiff import apply, finite_diff_check, tensor
-from laifo.cli import verify_instances
 from laifo.envs import make_env, make_tabular
 from laifo.expertgen import StatePolicy, record, train_expert
 from laifo.imitate import (Config, build_bundle, gradient_penalty, train,
                            update_critic)
 from laifo.replay import ReplayBuffer, load_dataset, save_dataset
 from laifo.theory import (LatentScheme, f_divergence, mc_latent_occupancy,
-                          occupancies, pair_step, random_policy, verify)
+                          occupancies, pair_step, random_policy, verify,
+                          verify_instances)
 
 RESULTS = []
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from laifo import cli, imitate, nets
-from laifo.cli import aggregate_runs, load_config, run, verify_instances
+from laifo.cli import aggregate_runs, load_config, run
+from laifo.theory import verify_instances
 from laifo.envs import make_env
 from laifo.imitate import Config
 
@@ -560,6 +561,36 @@ def test_cli_report_zero_expert_score_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {run_dir}: the expert score is 0")
+
+
+_METRICS = "frame,episode,eval_return,disc_loss,critic_loss,actor_loss,imit_reward_mean," \
+    "wall_clock_s,seed\n1000,0,5.0,0,0,0,0,0,0\n"
+_GOOD_META = {"algo": "laifo", "env": "pointmass-v", "seed": 0, "expert_score": 10.0}
+
+
+@pytest.mark.parametrize("meta, metrics, message", [
+    ({k: v for k, v in _GOOD_META.items() if k != "env"}, _METRICS,
+     "meta.json has no 'env' entry"),
+    ({k: v for k, v in _GOOD_META.items() if k != "seed"}, _METRICS,
+     "meta.json has no 'seed' entry"),
+    ({**_GOOD_META, "seed": "0"}, _METRICS, "meta.json entry 'seed' must be int"),
+    ({**_GOOD_META, "expert_score": "10"}, _METRICS,
+     "meta.json entry 'expert_score' must be float"),
+    (7, _METRICS, "meta.json holds 7, not an object"),
+    (_GOOD_META, _METRICS.replace("frame,", "step,", 1), "metrics.csv header"),
+    (_GOOD_META, _METRICS.replace("eval_return", "return"), "metrics.csv header"),
+    (_GOOD_META, _METRICS + "2000,0\n", "metrics.csv line 3 does not hold"),
+    (_GOOD_META, _METRICS + "2000,0,x,0,0,0,0,0,0\n", "metrics.csv line 3 does not hold"),
+], ids=["no-env", "no-seed", "str-seed", "str-expert-score", "bare-number",
+        "no-frame-column", "no-eval-return-column", "short-row", "non-numeric-return"])
+def test_cli_report_malformed_run_dir_exits_1(tmp_path, capsys, meta, metrics, message):
+    run_dir = tmp_path / "r"
+    os.makedirs(run_dir)
+    (run_dir / "meta.json").write_text(json.dumps(meta))
+    (run_dir / "metrics.csv").write_text(metrics)
+    code = run(["report", "--run-dirs", str(run_dir), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {run_dir}: {message}")
 
 
 def test_report_normalization_and_na(tmp_path):

@@ -354,7 +354,7 @@ def test_update_actor_converges_to_quadratic_optimum():
     # critic Q = -(a - 0.3)^2 in closed form: the actor should settle at 0.3
     cfg = small_cfg(lr=5e-3)
     rng = np.random.default_rng(24)
-    actor = nets.Actor(rng, z_dim=2, act_dim=1, hidden=16)
+    actor = nets.make_actor(rng, z_dim=2, act_dim=1, hidden=16)
 
     class QuadraticCritics:
         def forward(self, z, a):

@@ -6,9 +6,8 @@ import pytest
 from laifo import nets
 from laifo.autodiff import (EAGER, GRAPH, ShapeMismatchError, apply, backward,
                             finite_diff_check, pack, tensor)
-from laifo.nets import (CKPT_MAGIC, Actor, Mlp, PixelEncoder, TwinCritics,
-                        VectorEncoder, act, discriminate, load_checkpoint,
-                        save_checkpoint)
+from laifo.nets import (CKPT_MAGIC, Mlp, PixelEncoder, TwinCritics, VectorEncoder, act,
+                        discriminate, load_checkpoint, make_actor, save_checkpoint)
 
 
 def make_rng(seed=0):
@@ -57,7 +56,7 @@ def test_encoder_local_lipschitz_estimate():
 
 
 def test_actor_sigma_zero_is_deterministic_tanh_output():
-    actor = Actor(make_rng(5), z_dim=4, act_dim=2, hidden=8)
+    actor = make_actor(make_rng(5), z_dim=4, act_dim=2, hidden=8)
     z = make_rng(6).standard_normal(4)
     a = act(actor, z, sigma=0.0, clip_c=None, rng=make_rng(7))
     assert np.array_equal(a, actor.values(z[None])[0])
@@ -65,7 +64,7 @@ def test_actor_sigma_zero_is_deterministic_tanh_output():
 
 
 def test_actor_clipped_noise_stays_inside_clip():
-    actor = Actor(make_rng(8), z_dim=4, act_dim=2, hidden=8)
+    actor = make_actor(make_rng(8), z_dim=4, act_dim=2, hidden=8)
     z = np.zeros(4)
     mean = actor.values(z[None])[0]
     rng = make_rng(9)
@@ -75,7 +74,7 @@ def test_actor_clipped_noise_stays_inside_clip():
 
 
 def test_actor_noise_std_matches_sigma():
-    actor = Actor(make_rng(10), z_dim=4, act_dim=1, hidden=8)  # zero-init head
+    actor = make_actor(make_rng(10), z_dim=4, act_dim=1, hidden=8)  # zero-init head
     z = np.zeros((100_000, 4))
     rng = make_rng(11)
     a = act(actor, z, sigma=0.2, clip_c=None, rng=rng)
@@ -84,7 +83,7 @@ def test_actor_noise_std_matches_sigma():
 
 
 def test_actor_output_bounded_for_wild_inputs():
-    actor = Actor(make_rng(12), z_dim=3, act_dim=2, hidden=8)
+    actor = make_actor(make_rng(12), z_dim=3, act_dim=2, hidden=8)
     for p in actor.params():
         p.values[...] = make_rng(13).standard_normal(p.shape) * 10
     z = make_rng(14).standard_normal((50, 3)) * 100
@@ -159,7 +158,7 @@ def test_discriminator_pairing_width_checked():
 def test_network_gradients_match_finite_differences():
     rng = make_rng(23)
     enc = VectorEncoder(rng, obs_dim=2, d=2, z_dim=3, hidden=5)
-    actor = Actor(rng, z_dim=3, act_dim=2, hidden=5)
+    actor = make_actor(rng, z_dim=3, act_dim=2, hidden=5)
     crit = TwinCritics(rng, z_dim=3, act_dim=2, hidden=5)
     # give zero-initialized heads some structure so gradients are nontrivial
     for p in actor.params() + crit.params():
@@ -202,9 +201,9 @@ def _forward_case(name, dtype):
         win = rng.uniform(0, 1, (2, 2, 12, 12)).astype(dtype)
         return net.params(), lambda: net.forward(win), lambda: net.values(win)
     if name == "Actor":
-        net = Actor(rng, z_dim=4, act_dim=2, hidden=8, dtype=dtype)
-        net.mlp.weights[-1].values[...] = rng.standard_normal((8, 2))
-        net.mlp.biases[-1].values[...] = rng.standard_normal(2)
+        net = make_actor(rng, z_dim=4, act_dim=2, hidden=8, dtype=dtype)
+        net.weights[-1].values[...] = rng.standard_normal((8, 2))
+        net.biases[-1].values[...] = rng.standard_normal(2)
         return net.params(), lambda: net.forward(z), lambda: net.values(z)
     if name.startswith("TwinCritics"):
         net = TwinCritics(rng, z_dim=4, act_dim=2, hidden=8, dtype=dtype)
@@ -261,7 +260,7 @@ def test_pixel_encoder_dtype_cast_changes_no_number():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = make_rng(25)
-    actor = Actor(rng, z_dim=3, act_dim=2, hidden=8)
+    actor = make_actor(rng, z_dim=3, act_dim=2, hidden=8)
     crit = TwinCritics(rng, z_dim=3, act_dim=2, hidden=8)
     path = tmp_path / "bundle.ckpt"
     save_checkpoint(path, nets.named_params(actor, crit))
@@ -269,7 +268,7 @@ def test_checkpoint_roundtrip(tmp_path):
     for name, arr in nets.named_params(actor, crit):
         assert np.array_equal(loaded[name], arr)
 
-    actor2 = Actor(make_rng(99), z_dim=3, act_dim=2, hidden=8)
+    actor2 = make_actor(make_rng(99), z_dim=3, act_dim=2, hidden=8)
     nets.load_into([actor2], loaded)
     z = rng.standard_normal((3, 3))
     assert np.array_equal(actor2.values(z), actor.values(z))

@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +127,32 @@ def test_agent_windows_across_wraps_match_a_walk_over_the_push_log():
                 assert nw[:, 0].tolist() == _logged_windows(log, buf.capacity, g + 1, d)
                 assert a[0] == log[g + 1][1][0] and r == log[g + 1][2]
     assert single > 0 and head_lost > 0  # one-frame episodes, and overwritten heads
+
+
+def _two_condition_sources(buf, idx):
+    """The reference transition rule: the successor slot holds the same
+    episode's next frame (age + 1), and the slot is not the newest."""
+    age = buf._age[idx]
+    ok = (age >= 0) & (buf._age[(idx + 1) % buf.capacity] == age + 1)
+    return ok & (idx != (buf._idx - 1) % buf.capacity)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transition_rule_equals_the_two_condition_rule(seed):
+    rng = np.random.default_rng(seed)
+    cap = int(rng.integers(2, 24))
+    buf = ReplayBuffer(capacity=cap, obs_shape=(1,), act_shape=(1,))
+    idx = np.arange(cap)
+    valid = 0
+    for _ in range(60):  # episodes of 1 to 2 * cap + 1 frames: wraps mid-episode
+        n = int(rng.integers(1, 2 * cap + 2))
+        for t in range(n):
+            buf.push(np.zeros(1, np.float32), None if t == 0 else np.zeros(1),
+                     done=t == n - 1)
+            mask = buf._valid_sources(idx)
+            assert np.array_equal(mask, _two_condition_sources(buf, idx))
+            valid += mask.sum()
+    assert valid > 0
 
 
 def test_uniform_sampling_over_transitions():
@@ -331,6 +359,20 @@ def test_expert_sampler_windows_match_agent_padding():
     assert batch.windows.shape == (64, 3, 2) and batch.actions.shape == (64, 2)
     assert np.allclose(batch.next_windows[:, :-1], batch.windows[:, 1:])
     assert sampler.sample(8, np.random.default_rng(7)).actions is None
+
+
+def test_expert_sampler_keeps_no_reference_to_the_dataset():
+    ds = _toy_dataset()
+    sampler = ExpertWindowSampler(ds, d=2)
+    alive = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert alive() is None
+    batch = sampler.sample(8, np.random.default_rng(3), with_actions=True)
+    assert batch.actions.shape == (8, 2)
+    without = ExpertWindowSampler(_toy_dataset(with_actions=False), d=2)
+    with pytest.raises(ValueError, match="no actions"):
+        without.sample(8, np.random.default_rng(3), with_actions=True)
 
 
 def _clamped_reference(dataset, d, batch, rng, with_actions):

@@ -3,9 +3,15 @@ the privileged expert trains on each of them: a few updates after warmup
 at a tiny size, with finite losses and parameters."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import laifo
 
 from laifo.envs import ENV_IDS, FullyObservableWrapper, make_env
 from laifo.expertgen import record, train_expert
@@ -72,3 +78,13 @@ def test_expert_trains_on_every_env(env_id):
     assert report.algo == "rl_plus_videos" and report.env_id == env_id
     assert_trained(report, 14)
     assert report.expert_score == report.rows[-1].eval_return
+
+
+def test_importing_envs_and_replay_loads_no_other_submodule():
+    # a fresh interpreter, as the benchmark's set-up probe starts one
+    code = ("import sys; from laifo import envs, replay; "
+            "print(*sorted(m for m in sys.modules if m.startswith('laifo')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(laifo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out == ["laifo", "laifo.envs", "laifo.replay"]
