@@ -7,17 +7,22 @@ The backward pass can also be recorded as graph operations, so the
 gradient of a scalar with respect to an input (`input_gradient`) is itself
 a differentiable node (needed to train a discriminator whose loss contains
 the norm of its own input gradient), unless it passed through `concat` or
-`im2col`: the VJPs of their adjoints, `slice` and `col2im`, raise
-NotImplementedError. Tapes are rebuilt per step. No operation writes into
-a recorded value; an optimizer writes its parameters in place, after the
-backward pass of the tapes that read them.
+`im2col`: their adjoints, `slice` and `col2im`, have no VJP rule, and a
+backward pass through one raises NotImplementedError. Tapes are rebuilt
+per step. No operation writes into a recorded value; an optimizer writes
+its parameters in place, after the backward pass of the tapes that read
+them.
 
 A network layer is one `affine` node: x @ W + b, then the relu or tanh
 its `act` names, applied in place. Its VJP reads the relu mask or the
 tanh slope from the node's own output. Each operation kind has one VJP
 rule, called once per node with the flags of the node's live inputs (those
 on a path to a named leaf); it returns every input's gradient, None for
-the inputs that are not live.
+the inputs that are not live. Nodes take an array's operators (`+`, `-`,
+`*`, `/`, `.T`), so a rule is written once as plain expressions such as
+`g * (-(out * out) + 1.0)` or `E.matmul(g, w.T)`: `backward` runs it on
+the values of the node and its inputs, `input_gradient` on the nodes
+themselves, which records the gradient as a graph.
 
 `backward` finds the live nodes in one iterative post-order walk from the
 root that visits each node's inputs last-first, and sums the adjoint
@@ -94,8 +99,11 @@ class TensorNode:
     def __repr__(self):
         return f"TensorNode({self.op or 'leaf'}, shape={self.shape})"
 
-    # Operator sugar; everything routes through apply(). A plain number
-    # takes this node's dtype, so float32 graphs stay float32.
+    # Operators, the same as an array's; everything routes through apply().
+    # A plain number takes this node's dtype, so float32 graphs stay
+    # float32, and an array on the left defers to the node.
+    __array_ufunc__ = None
+
     def __add__(self, other):
         return apply("add", [self, _as_node(other, self)])
 
@@ -105,6 +113,13 @@ class TensorNode:
         return apply("mul", [self, _as_node(other, self)])
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return apply("div", [self, _as_node(other, self)])
+
+    @property
+    def T(self):
+        return apply("transpose", [self])
 
     def __neg__(self):
         return apply("mul", [self, _as_node(-1.0, self)])
@@ -135,19 +150,17 @@ def _as_node(x, like=None):
 
 
 # ---------------------------------------------------------------------------
-# Executors: the same VJP rules, and the same network forward passes, run
-# either on raw arrays or on graph nodes (when the result must stay
-# differentiable). `EAGER` and `GRAPH` are the two instances.
+# Executors: the network forward passes run either on raw arrays or on
+# graph nodes (when the result must stay differentiable). Arrays and nodes
+# take the same operators, so only the operation table, the layer and the
+# matrix product go through an executor. `EAGER` and `GRAPH` are the two
+# instances.
 # ---------------------------------------------------------------------------
 
 class _EagerExec:
-    @staticmethod
-    def v(x):
-        return x.values if isinstance(x, TensorNode) else x
-
     def op(self, kind, *xs, **attrs):
         """Any kind of the operation table, on arrays."""
-        return _OPS[kind][0](attrs, *map(self.v, xs))
+        return _OPS[kind][0](attrs, *xs)
 
     # A network layer. The operand is an array and the parameters are
     # leaves, read in place: no per-operand type check on the acting path.
@@ -156,37 +169,11 @@ class _EagerExec:
         out += b.values  # in place: one (N, C) array per layer, not two
         return _activate(out, act) if act else out
 
-    def tanh(self, x):
-        return np.tanh(x)
-
-    def add(self, a, b):
-        return self.v(a) + self.v(b)
-
-    def mul(self, a, b):
-        return self.v(a) * self.v(b)
-
-    def div(self, a, b):
-        return self.v(a) / self.v(b)
-
-    def neg(self, a):
-        return -self.v(a)
-
     def matmul(self, a, b):
-        return self.v(a) @ self.v(b)
-
-    def transpose(self, a):
-        return self.v(a).T
-
-    def sum(self, a, axis=None, keepdims=False):
-        # np.sum's reduction without its Python wrapper
-        return np.add.reduce(self.v(a), axis=axis, keepdims=keepdims)
+        return a @ b
 
 
 class _GraphExec:
-    @staticmethod
-    def v(x):
-        return _as_node(x)
-
     def op(self, kind, *xs, **attrs):
         """Any kind of the operation table, as a graph node."""
         return apply(kind, xs, **attrs)
@@ -194,32 +181,8 @@ class _GraphExec:
     def affine(self, x, w, b, act=None):
         return apply("affine", [x, w, b], act=act)
 
-    def tanh(self, x):
-        return apply("tanh", [x])
-
-    def add(self, a, b):
-        a = self.v(a)
-        return apply("add", [a, _as_node(b, a)])
-
-    def mul(self, a, b):
-        a = self.v(a)
-        return apply("mul", [a, _as_node(b, a)])
-
-    def div(self, a, b):
-        a = self.v(a)
-        return apply("div", [a, _as_node(b, a)])
-
-    def neg(self, a):
-        return -self.v(a)
-
     def matmul(self, a, b):
-        return apply("matmul", [self.v(a), self.v(b)])
-
-    def transpose(self, a):
-        return apply("transpose", [self.v(a)])
-
-    def sum(self, a, axis=None, keepdims=False):
-        return apply("sum", [self.v(a)], axis=axis, keepdims=keepdims)
+        return apply("matmul", [a, b])
 
 
 EAGER = _EagerExec()
@@ -233,10 +196,10 @@ def _unbroadcast(E, g, shape):
         return g
     extra = len(g.shape) - len(shape)
     if extra > 0:
-        g = E.sum(g, axis=tuple(range(extra)))
+        g = E.op("sum", g, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
-        g = E.sum(g, axis=axes, keepdims=True)
+        g = E.op("sum", g, axis=axes, keepdims=True)
     return E.op("reshape", g, shape=tuple(shape))
 
 
@@ -290,17 +253,18 @@ def _activate(out, act):
 
 
 # ---------------------------------------------------------------------------
-# Operation table: forward on arrays, and the vjp via an executor.
-# vjp(E, g, node, live) returns the gradient of every input i for which
-# live[i] holds, and None for the others.
+# Operation table: forward on arrays, and the vjp as operator expressions.
+# vjp(E, g, out, ins, node, live) runs on the output and the inputs (arrays,
+# or nodes when recorded) and returns the gradient of every input i for
+# which live[i] holds, None for the others; `node` gives attrs and masks.
 # ---------------------------------------------------------------------------
 
 def _fw_add(attrs, a, b):
     return a + b
 
 
-def _vjp_add(E, g, node, live):
-    a, b = node.inputs
+def _vjp_add(E, g, out, ins, node, live):
+    a, b = ins
     return (_unbroadcast(E, g, a.shape) if live[0] else None,
             _unbroadcast(E, g, b.shape) if live[1] else None)
 
@@ -309,20 +273,20 @@ def _fw_mul(attrs, a, b):
     return a * b
 
 
-def _vjp_mul(E, g, node, live):
-    a, b = node.inputs
-    return (_unbroadcast(E, E.mul(g, b), a.shape) if live[0] else None,
-            _unbroadcast(E, E.mul(g, a), b.shape) if live[1] else None)
+def _vjp_mul(E, g, out, ins, node, live):
+    a, b = ins
+    return (_unbroadcast(E, g * b, a.shape) if live[0] else None,
+            _unbroadcast(E, g * a, b.shape) if live[1] else None)
 
 
 def _fw_div(attrs, a, b):
     return a / b
 
 
-def _vjp_div(E, g, node, live):
-    a, b = node.inputs
-    return (_unbroadcast(E, E.div(g, b), a.shape) if live[0] else None,
-            _unbroadcast(E, E.neg(E.div(E.mul(g, node), b)), b.shape) if live[1] else None)
+def _vjp_div(E, g, out, ins, node, live):
+    a, b = ins
+    return (_unbroadcast(E, g / b, a.shape) if live[0] else None,
+            _unbroadcast(E, -(g * out / b), b.shape) if live[1] else None)
 
 
 def _fw_matmul(attrs, a, b):
@@ -331,10 +295,10 @@ def _fw_matmul(attrs, a, b):
     return a @ b
 
 
-def _vjp_matmul(E, g, node, live):
-    a, b = node.inputs
-    return (E.matmul(g, E.transpose(b)) if live[0] else None,
-            E.matmul(E.transpose(a), g) if live[1] else None)
+def _vjp_matmul(E, g, out, ins, node, live):
+    a, b = ins
+    return (E.matmul(g, b.T) if live[0] else None,
+            E.matmul(a.T, g) if live[1] else None)
 
 
 def _fw_affine(attrs, x, w, b):
@@ -346,25 +310,25 @@ def _fw_affine(attrs, x, w, b):
     return _activate(out, act) if act else out
 
 
-def _vjp_affine(E, g, node, live):
+def _vjp_affine(E, g, out, ins, node, live):
     act = node.attrs.get("act")
     if act == "relu":  # the output is positive exactly where the input was
         mask = node.values > 0  # a graph takes the mask as a node of the layer's dtype
-        g = E.mul(g, mask if E is EAGER else mask.astype(node.dtype))
-    elif act == "tanh":  # 1 - y^2 from the output y, itself a graph node
-        g = E.mul(g, E.add(E.neg(E.mul(node, node)), 1.0))
-    x, w, _ = node.inputs
-    return (E.matmul(g, E.transpose(w)) if live[0] else None,
-            E.matmul(E.transpose(x), g) if live[1] else None,
-            E.sum(g, axis=0) if live[2] else None)
+        g = g * (mask if E is EAGER else mask.astype(node.dtype))
+    elif act == "tanh":  # 1 - y^2 from the output y
+        g = g * (-(out * out) + 1.0)
+    x, w, _ = ins
+    return (E.matmul(g, w.T) if live[0] else None,
+            E.matmul(x.T, g) if live[1] else None,
+            E.op("sum", g, axis=0) if live[2] else None)
 
 
 def _fw_tanh(attrs, x):
     return np.tanh(x)
 
 
-def _vjp_tanh(E, g, node, live):
-    return (E.mul(g, E.add(E.neg(E.mul(node, node)), 1.0)),)
+def _vjp_tanh(E, g, out, ins, node, live):
+    return (g * (-(out * out) + 1.0),)
 
 
 def sigmoid_values(x):
@@ -381,8 +345,8 @@ def _fw_sigmoid(attrs, x):
     return sigmoid_values(x)
 
 
-def _vjp_sigmoid(E, g, node, live):
-    return (E.mul(g, E.mul(node, E.add(E.neg(node), 1.0))),)
+def _vjp_sigmoid(E, g, out, ins, node, live):
+    return (g * (out * (-out + 1.0)),)
 
 
 def _fw_log(attrs, x):
@@ -391,16 +355,16 @@ def _fw_log(attrs, x):
     return np.log(x + LOG_OFFSET)
 
 
-def _vjp_log(E, g, node, live):
-    return (E.div(g, E.add(node.inputs[0], LOG_OFFSET)),)
+def _vjp_log(E, g, out, ins, node, live):
+    return (g / (ins[0] + LOG_OFFSET),)
 
 
 def _fw_square(attrs, x):
     return x * x
 
 
-def _vjp_square(E, g, node, live):
-    return (E.mul(g, E.mul(node.inputs[0], 2.0)),)
+def _vjp_square(E, g, out, ins, node, live):
+    return (g * (ins[0] * 2.0),)
 
 
 def _fw_sum(attrs, x):
@@ -420,11 +384,11 @@ def _bcast_reduced(E, g, attrs, in_shape):
         g = E.op("reshape", g, shape=tuple(kd))
     if E is EAGER:
         return np.full(in_shape, g)
-    return E.mul(g, np.ones(in_shape, dtype=g.dtype))
+    return g * np.ones(in_shape, dtype=g.dtype)
 
 
-def _vjp_sum(E, g, node, live):
-    return (_bcast_reduced(E, g, node.attrs, node.inputs[0].shape),)
+def _vjp_sum(E, g, out, ins, node, live):
+    return (_bcast_reduced(E, g, node.attrs, ins[0].shape),)
 
 
 def _fw_mean(attrs, x):
@@ -434,10 +398,10 @@ def _fw_mean(attrs, x):
     return total / (x.size // np.size(total))
 
 
-def _vjp_mean(E, g, node, live):
-    x = node.inputs[0]
+def _vjp_mean(E, g, out, ins, node, live):
+    x = ins[0]
     n = x.size // max(node.size, 1)
-    return (_bcast_reduced(E, E.mul(g, 1.0 / n), node.attrs, x.shape),)
+    return (_bcast_reduced(E, g * (1.0 / n), node.attrs, x.shape),)
 
 
 def _fw_concat(attrs, *xs):
@@ -448,11 +412,11 @@ def _fw_concat(attrs, *xs):
     return np.concatenate(xs, axis=axis)
 
 
-def _vjp_concat(E, g, node, live):
+def _vjp_concat(E, g, out, ins, node, live):
     axis = node.attrs.get("axis", 0)
     grads = []
     start = 0
-    for x, flag in zip(node.inputs, live):
+    for x, flag in zip(ins, live):
         stop = start + x.shape[axis]
         key = tuple(slice(None) if d != axis else slice(start, stop)
                     for d in range(len(x.shape)))
@@ -466,41 +430,41 @@ def _fw_l2norm(attrs, x):
                                  keepdims=attrs.get("keepdims", False)) + NORM_OFFSET)
 
 
-def _vjp_l2norm(E, g, node, live):
-    x = node.inputs[0]
+def _vjp_l2norm(E, g, out, ins, node, live):
+    x = ins[0]
     axis = node.attrs.get("axis")
     if axis is None:
-        return (E.mul(x, E.div(g, node)),)
+        return (x * (g / out),)
     kd = list(x.shape)
     kd[axis] = 1
-    return (E.mul(x, E.op("reshape", E.div(g, node), shape=tuple(kd))),)
+    return (x * E.op("reshape", g / out, shape=tuple(kd)),)
 
 
 def _fw_minimum(attrs, a, b):
     return np.minimum(a, b)
 
 
-def _vjp_minimum(E, g, node, live):
+def _vjp_minimum(E, g, out, ins, node, live):
     a, b = node.inputs
     mask = (a.values <= b.values).astype(a.dtype)
-    return (_unbroadcast(E, E.mul(g, mask), a.shape) if live[0] else None,
-            _unbroadcast(E, E.mul(g, 1.0 - mask), b.shape) if live[1] else None)
+    return (_unbroadcast(E, g * mask, a.shape) if live[0] else None,
+            _unbroadcast(E, g * (1.0 - mask), b.shape) if live[1] else None)
 
 
 def _fw_transpose(attrs, x):
     return x.T
 
 
-def _vjp_transpose(E, g, node, live):
-    return (E.transpose(g),)
+def _vjp_transpose(E, g, out, ins, node, live):
+    return (g.T,)
 
 
 def _fw_reshape(attrs, x):
     return x.reshape(attrs["shape"])
 
 
-def _vjp_reshape(E, g, node, live):
-    return (E.op("reshape", g, shape=node.inputs[0].shape),)
+def _vjp_reshape(E, g, out, ins, node, live):
+    return (E.op("reshape", g, shape=ins[0].shape),)
 
 
 def _fw_slice(attrs, x):
@@ -511,17 +475,12 @@ def _fw_im2col(attrs, x):
     return _im2col_values(x, attrs["kh"], attrs["kw"], attrs["stride"])
 
 
-def _vjp_im2col(E, g, node, live):
-    return (E.op("col2im", g, x_shape=node.inputs[0].shape, **node.attrs),)
+def _vjp_im2col(E, g, out, ins, node, live):
+    return (E.op("col2im", g, x_shape=ins[0].shape, **node.attrs),)
 
 
 def _fw_col2im(attrs, x):
     return _col2im_values(x, attrs["x_shape"], attrs["kh"], attrs["kw"], attrs["stride"])
-
-
-def _vjp_second_order(E, g, node, live):
-    # slice and col2im nodes exist only inside a recorded gradient
-    raise NotImplementedError(f"second-order gradients through {node.op} are not supported")
 
 
 _OPS = {
@@ -541,9 +500,9 @@ _OPS = {
     "minimum": (_fw_minimum, _vjp_minimum),
     "transpose": (_fw_transpose, _vjp_transpose),
     "reshape": (_fw_reshape, _vjp_reshape),
-    "slice": (_fw_slice, _vjp_second_order),
+    "slice": (_fw_slice, None),
     "im2col": (_fw_im2col, _vjp_im2col),
-    "col2im": (_fw_col2im, _vjp_second_order),
+    "col2im": (_fw_col2im, None),
 }
 
 _BINARY_ELEMWISE = frozenset({"add", "mul", "div", "minimum"})
@@ -611,7 +570,8 @@ def _live_nodes(root, targets):
 
 
 def _run_backward(root, leaves, create_graph):
-    """Adjoints by node, computing only the VJPs on a path to a leaf."""
+    """Adjoints by node, computing only the VJPs on a path to a leaf: on
+    arrays, or recorded as graph nodes when `create_graph` is set."""
     E = GRAPH if create_graph else EAGER
     seed = np.ones(root.shape, dtype=root.dtype)
     adjoint = {root: _as_node(seed) if create_graph else seed}
@@ -620,11 +580,18 @@ def _run_backward(root, leaves, create_graph):
         # a node's adjoint is complete once its VJP runs; only the named
         # nodes' adjoints are kept beyond that
         g = adjoint[node] if node in targets else adjoint.pop(node)
-        grads = _OPS[node.op][1](E, g, node, live)
+        vjp = _OPS[node.op][1]
+        if vjp is None:  # slice and col2im exist only inside a recorded gradient
+            raise NotImplementedError(
+                f"second-order gradients through {node.op} are not supported")
+        if create_graph:
+            grads = vjp(E, g, node, node.inputs, node, live)
+        else:
+            grads = vjp(E, g, node.values, [x.values for x in node.inputs], node, live)
         for inp, gi in zip(node.inputs, grads):
             if gi is not None:
                 prev = adjoint.get(inp)
-                adjoint[inp] = gi if prev is None else E.add(prev, gi)
+                adjoint[inp] = gi if prev is None else prev + gi
     return adjoint
 
 

@@ -192,11 +192,15 @@ def cmd_verify_theory(args):
 
 def read_run_dir(run_dir):
     """The `meta.json` of an imitation run directory, and the (frame,
-    eval_return) of each `metrics.csv` row. A file that lacks an entry or
-    holds one of another type is refused, naming the directory."""
-    with open(os.path.join(run_dir, "meta.json")) as f:
-        meta = json.load(f)
+    eval_return) of each `metrics.csv` row. A file that cannot be decoded,
+    lacks an entry or holds one of another type is refused, naming the
+    directory."""
     what = f"{run_dir}: meta.json"
+    try:
+        with open(os.path.join(run_dir, "meta.json"), encoding="utf-8") as f:
+            meta = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValueError(f"{what}: {e}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{what} holds {meta!r}, not an object")
     if "algo" not in meta:
@@ -209,17 +213,20 @@ def read_run_dir(run_dir):
         raise ValueError(f"{run_dir}: the expert score is 0, so returns cannot "
                          f"be normalized by it")
     rows = []
-    with open(os.path.join(run_dir, "metrics.csv"), newline="") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != _METRICS_HEADER:
-            raise ValueError(f"{run_dir}: metrics.csv header {reader.fieldnames} is not "
-                             f"{list(_METRICS_HEADER)}")
-        for row in reader:
-            try:
-                rows.append((int(row["frame"]), float(row["eval_return"])))
-            except (TypeError, ValueError):
-                raise ValueError(f"{run_dir}: metrics.csv line {reader.line_num} "
-                                 f"does not hold a frame and a return") from None
+    try:
+        with open(os.path.join(run_dir, "metrics.csv"), newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            if tuple(reader.fieldnames or ()) != _METRICS_HEADER:
+                raise ValueError(f"{run_dir}: metrics.csv header {reader.fieldnames} is "
+                                 f"not {list(_METRICS_HEADER)}")
+            for row in reader:
+                try:
+                    rows.append((int(row["frame"]), float(row["eval_return"])))
+                except (TypeError, ValueError):
+                    raise ValueError(f"{run_dir}: metrics.csv line {reader.line_num} "
+                                     f"does not hold a frame and a return") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{run_dir}: metrics.csv: {e}") from None
     if not rows:
         raise ValueError(f"{run_dir}: empty metrics file")
     return meta, rows

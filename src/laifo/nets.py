@@ -70,10 +70,10 @@ class Mlp:
 def _normalize(E, h, z_dim):
     # feature standardization then tanh: keeps the latent cloud at unit
     # scale so a norm-1 gradient penalty does not flatten the discriminator
-    c = E.add(h, E.neg(E.op("mean", h, axis=1, keepdims=True)))
+    c = h - E.op("mean", h, axis=1, keepdims=True)
     # a Python float, so float32 arrays stay float32 on the eager path
-    rms = E.mul(E.op("l2norm", c, axis=1, keepdims=True), float(1.0 / np.sqrt(z_dim)))
-    return E.tanh(E.div(c, rms))
+    rms = E.op("l2norm", c, axis=1, keepdims=True) * float(1.0 / np.sqrt(z_dim))
+    return E.op("tanh", c / rms)
 
 
 class FlattenEncoder:

@@ -298,6 +298,29 @@ def test_operator_sugar_matches_apply():
     assert np.allclose(gx, [1.5, 2.0])
 
 
+def test_array_times_node_is_a_node():
+    # an array on the left defers to the node instead of building an
+    # object array of per-element products
+    out = np.arange(3.0) * tensor(np.ones(3))
+    assert isinstance(out, ad.TensorNode) and out.op == "mul"
+    assert out.values.tobytes() == np.arange(3.0).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CASES))
+def test_eager_and_recorded_gradients_are_the_same_bits(kind):
+    # each VJP rule runs on arrays in backward() and on nodes in
+    # input_gradient(); both must compute the same arithmetic
+    shapes, build = _KIND_CASES[kind]
+    rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
+    for _ in range(20):
+        params = _rand_nodes(rng, shapes)
+        root = build(params)
+        for p, eager in zip(params, backward(root, params)):
+            recorded = input_gradient(root, p).values
+            assert recorded.dtype == eager.dtype and recorded.shape == eager.shape
+            assert recorded.tobytes() == eager.tobytes()
+
+
 def _count_matmuls(monkeypatch, executor):
     calls = []
     matmul = executor.matmul

@@ -581,13 +581,21 @@ _GOOD_META = {"algo": "laifo", "env": "pointmass-v", "seed": 0, "expert_score": 
     (_GOOD_META, _METRICS.replace("eval_return", "return"), "metrics.csv header"),
     (_GOOD_META, _METRICS + "2000,0\n", "metrics.csv line 3 does not hold"),
     (_GOOD_META, _METRICS + "2000,0,x,0,0,0,0,0,0\n", "metrics.csv line 3 does not hold"),
+    # files that do not decode (bytes are written as they are)
+    (b'{"algo": ', _METRICS, "meta.json: Expecting value: line 1 column 10 (char 9)"),
+    (b"\xff{}", _METRICS, "meta.json: 'utf-8' codec can't decode byte 0xff"),
+    (_GOOD_META, _METRICS.encode() + b"2000,0,\xff,0,0,0,0,0,0\n",
+     "metrics.csv: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["no-env", "no-seed", "str-seed", "str-expert-score", "bare-number",
-        "no-frame-column", "no-eval-return-column", "short-row", "non-numeric-return"])
+        "no-frame-column", "no-eval-return-column", "short-row", "non-numeric-return",
+        "truncated-json", "non-utf8-meta", "non-utf8-metrics"])
 def test_cli_report_malformed_run_dir_exits_1(tmp_path, capsys, meta, metrics, message):
     run_dir = tmp_path / "r"
     os.makedirs(run_dir)
-    (run_dir / "meta.json").write_text(json.dumps(meta))
-    (run_dir / "metrics.csv").write_text(metrics)
+    (run_dir / "meta.json").write_bytes(
+        meta if isinstance(meta, bytes) else json.dumps(meta).encode())
+    (run_dir / "metrics.csv").write_bytes(
+        metrics if isinstance(metrics, bytes) else metrics.encode())
     code = run(["report", "--run-dirs", str(run_dir), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {run_dir}: {message}")
