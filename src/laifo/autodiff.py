@@ -59,8 +59,6 @@ _REQUIRED_ATTRS = {"reshape": ("shape",), "slice": ("key",),
 class ShapeMismatchError(ValueError):
     def __init__(self, kind, shapes):
         super().__init__(f"{kind}: incompatible shapes {list(shapes)}")
-        self.kind = kind
-        self.shapes = shapes
 
 
 class DomainError(ValueError):
@@ -131,9 +129,9 @@ class TensorNode:
         return _as_node(other, self) + (-self)
 
 
-def tensor(values, name=None, dtype=None):
-    """Create a leaf node. Lists/scalars become float64 arrays by default."""
-    arr = np.asarray(values, dtype=dtype)
+def tensor(values, name=None):
+    """Create a leaf node; values that are not floating point become float64."""
+    arr = np.asarray(values)
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
     return TensorNode(arr, name=name)

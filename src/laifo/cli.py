@@ -70,17 +70,17 @@ def _dataset_hash(path):
 
 
 def _write_run_dir(out_dir, report, ckpt, **meta):
-    """A run directory: `metrics.csv` (a `ReportRow` a line), the trained
-    bundle as `ckpt`, `config.txt` (the configuration as the run resolved
-    it) and `meta.json` (the `meta` entries)."""
+    """A run directory: `metrics.csv` (a `ReportRow` a line, its floats to
+    10 significant digits but the wall clock to the millisecond), the
+    trained bundle as `ckpt`, `config.txt` (the configuration as the run
+    resolved it) and `meta.json` (the `meta` entries)."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(_METRICS_HEADER)
-        w.writerows([r.frame, r.episode, f"{r.eval_return:.10g}", f"{r.disc_loss:.10g}",
-                     f"{r.critic_loss:.10g}", f"{r.actor_loss:.10g}",
-                     f"{r.imit_reward_mean:.10g}", f"{r.wall_clock_s:.3f}", r.seed]
-                    for r in report.rows)
+        w.writerows([format(v, ".3f" if k == "wall_clock_s" else
+                            ".10g" if isinstance(v, float) else "")
+                     for k, v in vars(r).items()] for r in report.rows)
     report.bundle.save(os.path.join(out_dir, ckpt))
     with open(os.path.join(out_dir, "config.txt"), "w") as f:
         f.writelines(f"{key}={getattr(report.cfg, key)}\n" for key in _CONFIG_FIELDS)
@@ -253,8 +253,7 @@ def cmd_report(args):
     os.makedirs(args.out_dir, exist_ok=True)
     agg_path = os.path.join(args.out_dir, "aggregate.csv")
     with open(agg_path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["algo", "env", "seed", "final_return",
-                                          "normalized_return", "frames_to_75pct"])
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
     groups = {}
@@ -267,11 +266,9 @@ def cmd_report(args):
                     "std_normalized_return"])
         for (algo, env), rs in sorted(groups.items()):
             vals = np.array([r["normalized_return"] for r in rs])
-            w.writerow([algo, env, len(rs), f"{vals.mean():.6g}",
-                        f"{vals.std(ddof=1) if len(rs) > 1 else 0.0:.6g}"])
-            print(f"{algo:15s} {env:15s} n={len(rs)} "
-                  f"normalized {vals.mean():.3f} +- "
-                  f"{vals.std(ddof=1) if len(rs) > 1 else 0.0:.3f}")
+            mean, std = vals.mean(), vals.std(ddof=1) if len(rs) > 1 else 0.0
+            w.writerow([algo, env, len(rs), f"{mean:.6g}", f"{std:.6g}"])
+            print(f"{algo:15s} {env:15s} n={len(rs)} normalized {mean:.3f} +- {std:.3f}")
     print(f"wrote {agg_path} and {sum_path}")
     return 0
 

@@ -27,6 +27,7 @@ class PointMass:
     r_max = 1.0
     sparse_radius = 0.25
     act_dim = 2
+    state_dim = 4
 
     def __init__(self, seed=0, obs_mode="vector", image_size=32, reward_mode="dense"):
         if reward_mode not in ("dense", "sparse"):
@@ -45,10 +46,6 @@ class PointMass:
         if self.obs_mode == "pixel":
             return (self.image_size, self.image_size)
         return (2,)
-
-    @property
-    def state_dim(self):
-        return 4
 
     # mean of rho0: positions uniform on [-0.8, 0.8]^2, velocity zero
     initial_state_mean = np.zeros(4)

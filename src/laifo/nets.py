@@ -7,7 +7,8 @@ Each network writes its forward pass once, as `run(E, ...)` on an
 autodiff executor: `autodiff.GRAPH` builds differentiable nodes (for
 training), `autodiff.EAGER` computes plain arrays (for acting, targets
 and anything behind a stop-gradient). `forward` and `values` are those
-two runs, and their numbers are bit-identical.
+two runs, and their numbers are bit-identical. Every network takes a
+batch: (B, d, *obs) windows, (B, z_dim) latents, (B, act_dim) actions.
 """
 
 from __future__ import annotations
@@ -110,21 +111,17 @@ class VectorEncoder:
         self.obs_dim = obs_dim
         self.d = d
         self.z_dim = z_dim
-        in_dim = obs_dim * d + (obs_dim * (d - 1) if d > 1 else 0)
+        in_dim = obs_dim * (2 * d - 1)
         self.mlp = Mlp(rng, [in_dim, hidden, hidden, z_dim],
                        activation="tanh", name="enc", dtype=dtype)
 
     def _flatten(self, window):
         arr = np.asarray(window)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.shape[1] != self.d or arr.shape[2] != self.obs_dim:
+        if arr.shape[1:] != (self.d, self.obs_dim):
             raise ValueError(
                 f"encoder expects windows of {self.d} frames x {self.obs_dim} dims, "
                 f"got {arr.shape[1:]}")
         b = arr.shape[0]
-        if self.d == 1:
-            return arr.reshape(b, -1)
         diffs = (arr[:, 1:] - arr[:, :-1]) * self.DIFF_SCALE
         return np.concatenate([arr.reshape(b, -1), diffs.reshape(b, -1)], axis=1)
 
@@ -171,9 +168,7 @@ class PixelEncoder:
 
     def _check(self, window):
         arr = np.asarray(window)
-        if arr.ndim == 3:
-            arr = arr[None]
-        if arr.shape[1] != self.d or arr.shape[2:] != (self.image_size, self.image_size):
+        if arr.shape[1:] != (self.d, self.image_size, self.image_size):
             raise ValueError(
                 f"encoder expects windows of {self.d} frames of "
                 f"{self.image_size}x{self.image_size}, got {arr.shape[1:]}")
@@ -211,12 +206,12 @@ def make_actor(rng, z_dim, act_dim, hidden=256, dtype=np.float64):
 
 
 def act(actor, z, sigma, clip_c, rng):
-    """Action with exploration noise: clipped-normal noise when clip_c is
-    given (update rule), raw normal otherwise (environment interaction).
-    The final action is always clamped to [-1, 1]."""
+    """Actions of latents z (B, z_dim) plus exploration noise, clamped to
+    [-1, 1]: the noise is clipped-normal when clip_c is given (update
+    rule), raw normal otherwise (environment interaction)."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    mean = actor.values(np.atleast_2d(z))
+    mean = actor.values(z)
     if sigma > 0:
         eps = rng.normal(0.0, sigma, size=mean.shape)
         if clip_c is not None:
@@ -224,8 +219,7 @@ def act(actor, z, sigma, clip_c, rng):
     else:
         eps = 0.0
     # np.clip's arithmetic, without its Python wrapper
-    out = np.minimum(np.maximum(mean + eps, -1.0), 1.0)
-    return out[0] if np.asarray(z).ndim == 1 else out
+    return np.minimum(np.maximum(mean + eps, -1.0), 1.0)
 
 
 class TwinCritics:
@@ -254,7 +248,7 @@ class TwinCritics:
         return self.run(GRAPH, z, a)
 
     def values(self, z, a, use_target=False):
-        q1, q2 = self.run(EAGER, np.atleast_2d(z), np.atleast_2d(a), use_target)
+        q1, q2 = self.run(EAGER, z, a, use_target)
         return q1[:, 0], q2[:, 0]
 
     def soft_update(self, tau):

@@ -327,10 +327,12 @@ def _require(header, keys, what):
 
 def load_dataset(path):
     with open(path, "rb") as f:
-        env_id, obs_shape, act_shape, n_episodes, has_a, has_r = _read_header(
+        env_id, obs_shape, act_shape, n_episodes, dtype, has_a, has_r = _read_header(
             f, DATASET_MAGIC, "dataset", "dataset header",
             {"env": str, "obs_shape": tuple, "act_shape": tuple, "episodes": int,
-             "has_actions": bool, "has_rewards": bool})
+             "dtype": str, "has_actions": bool, "has_rewards": bool})
+        if dtype != "f32le":
+            raise ValueError(f"dataset header entry 'dtype' must be 'f32le', got {dtype!r}")
         obs_size = int(np.prod(obs_shape))
         act_size = int(np.prod(act_shape)) if act_shape else 1
         episodes = []

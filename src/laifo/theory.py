@@ -24,7 +24,7 @@ from the edge arrays, so a fault in the edges cannot hide in both.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -313,22 +313,15 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
+        """The fields in order, then the extras; a non-finite float is
+        written "inf" or "-inf"."""
         def clean(v):
             if isinstance(v, float) and not np.isfinite(v):
                 return "inf" if v > 0 else "-inf"
             return v
-        out = {
-            "claim": self.claim,
-            "lhs": clean(self.lhs),
-            "rhs": clean(self.rhs),
-            "slack": clean(self.slack),
-            "r_max": self.r_max,
-            "tv_term": self.tv_term,
-            "c_value": self.c_value,
-            "assumption_violation": self.assumption_violation,
-        }
-        out.update({k: clean(v) for k, v in self.extras.items()})
-        return out
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
+        out.update(self.extras)
+        return {k: clean(v) for k, v in out.items()}
 
 
 def _posterior_dependence(tables_a, tables_b):
@@ -349,67 +342,54 @@ def verify(claim, pomdp, step, policy_theta, policy_expert):
     tab_e = occupancies(pomdp, step, policy_expert)
     gamma = tab_t.gamma
     violation = _posterior_dependence(tab_t, tab_e)
-    tv_zz = f_divergence("tv", tab_t.rho_zz.reshape(-1), tab_e.rho_zz.reshape(-1))
+    tv_zz = f_divergence("tv", tab_t.rho_zz, tab_e.rho_zz)
 
-    if claim in ("theorem1", "corollary1"):
-        r_max = pomdp.r_max("sa")
-        lhs = abs(policy_value(pomdp, tab_e, "sa") - policy_value(pomdp, tab_t, "sa"))
+    if claim in ("theorem1", "corollary1", "theorem2"):
+        mode = "ss" if claim == "theorem2" else "sa"
+        r_max = pomdp.r_max(mode)
+        lhs = abs(policy_value(pomdp, tab_e, mode) - policy_value(pomdp, tab_t, mode))
         tv_term = 2.0 * r_max / (1.0 - gamma) * tv_zz
-        c = c_term(pomdp, tab_t, tab_e)
+        c = 0.0 if claim == "theorem2" else c_term(pomdp, tab_t, tab_e)
         rhs = tv_term + (c if claim == "theorem1" else 0.0)
         return BoundReport(claim, lhs, rhs, rhs - lhs, r_max, tv_term, c, violation)
-
-    if claim == "theorem2":
-        r_max = pomdp.r_max("ss")
-        lhs = abs(policy_value(pomdp, tab_e, "ss") - policy_value(pomdp, tab_t, "ss"))
-        tv_term = 2.0 * r_max / (1.0 - gamma) * tv_zz
-        return BoundReport(claim, lhs, tv_term, tv_term - lhs, r_max, tv_term,
-                           0.0, violation)
 
     if claim == "theorem3":
         extras = {}
         slack = np.inf
         for kind in ("tv", "js", "kl"):
-            lo = f_divergence(kind, tab_t.rho_sa.reshape(-1), tab_e.rho_sa.reshape(-1))
-            hi = f_divergence(kind, tab_t.rho_za.reshape(-1), tab_e.rho_za.reshape(-1))
+            lo = f_divergence(kind, tab_t.rho_sa, tab_e.rho_sa)
+            hi = f_divergence(kind, tab_t.rho_za, tab_e.rho_za)
             extras[f"{kind}_state"] = lo
             extras[f"{kind}_latent"] = hi
             if np.isfinite(hi):  # rhs infinite: holds trivially
                 slack = min(slack, hi - lo)
-        lhs = extras["tv_state"]
-        rhs = extras["tv_latent"]
-        return BoundReport(claim, lhs, rhs, float(slack), 0.0, tv_zz, 0.0,
-                           violation, extras)
+        return BoundReport(claim, extras["tv_state"], extras["tv_latent"], float(slack),
+                           0.0, tv_zz, 0.0, violation, extras)
 
     if claim == "lemma1":
         extras = {}
         gap = 0.0
         for kind in ("tv", "js", "kl"):
-            joint = f_divergence(kind, tab_t.rho_zaz.reshape(-1),
-                                 tab_e.rho_zaz.reshape(-1))
-            marg = f_divergence(kind, tab_t.rho_za.reshape(-1),
-                                tab_e.rho_za.reshape(-1))
+            joint = f_divergence(kind, tab_t.rho_zaz, tab_e.rho_zaz)
+            marg = f_divergence(kind, tab_t.rho_za, tab_e.rho_za)
             extras[f"{kind}_joint"] = joint
             extras[f"{kind}_marginal"] = marg
             if np.isinf(joint) and np.isinf(marg):
                 continue  # both diverge: equal in the extended sense
             gap = max(gap, abs(joint - marg))
         extras["max_equality_gap"] = gap
-        lhs = extras["tv_joint"]
-        rhs = extras["tv_marginal"]
-        return BoundReport(claim, lhs, rhs, -gap, 0.0, tv_zz, 0.0, violation, extras)
+        return BoundReport(claim, extras["tv_joint"], extras["tv_marginal"], -gap, 0.0,
+                           tv_zz, 0.0, violation, extras)
 
     if claim == "lemma2":
-        lhs = f_divergence("tv", tab_t.rho_za.reshape(-1), tab_e.rho_za.reshape(-1))
+        lhs = f_divergence("tv", tab_t.rho_za, tab_e.rho_za)
         expect = _expected_posterior_tv(tab_t, tab_e)
         rhs = expect + tv_zz
         return BoundReport(claim, lhs, rhs, rhs - lhs, 0.0, tv_zz, expect, violation)
 
     # lemma4 on the instance's latent-transition occupancies
-    lhs = tv_zz
-    rhs = float(np.sqrt(f_divergence("js", tab_t.rho_zz.reshape(-1),
-                                     tab_e.rho_zz.reshape(-1))))
-    return BoundReport(claim, lhs, rhs, rhs - lhs, 0.0, tv_zz, 0.0, violation)
+    rhs = float(np.sqrt(f_divergence("js", tab_t.rho_zz, tab_e.rho_zz)))
+    return BoundReport(claim, tv_zz, rhs, rhs - tv_zz, 0.0, tv_zz, 0.0, violation)
 
 
 def random_policy(n_windows, n_actions, rng, concentration=1.0):

@@ -68,6 +68,19 @@ def test_input_gradient_of_quadratic_is_identity():
     assert np.allclose(g.values, [1.0, 2.0])
 
 
+def test_broadcast_operand_gradient_sums_the_leading_axis():
+    # a live (n,) operand added to a (B, n) node: its adjoint is the column
+    # sums of the (B, n) one, the same bits in backward and input_gradient
+    rng = np.random.default_rng(4)
+    x, v = tensor(rng.standard_normal((5, 3))), tensor(rng.standard_normal(3))
+    w = rng.standard_normal((5, 3))
+    root = apply("sum", [(x + v) * w])
+    gx, gv = backward(root, [x, v])
+    assert gv.shape == (3,) and gv.tobytes() == w.sum(axis=0).tobytes()
+    assert gx.tobytes() == w.tobytes()
+    assert input_gradient(root, v).values.tobytes() == gv.tobytes()
+
+
 def test_double_backprop_through_quadratic():
     # d/dx sum(square(d(0.5||x||^2)/dx)) = d/dx sum(x^2) = 2x
     x = tensor([1.0, 2.0])

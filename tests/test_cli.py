@@ -445,6 +445,19 @@ def test_cli_record_manifest_without_params_exits_1(tmp_path, capsys):
         "error: checkpoint manifest has no 'params' entry\n"
 
 
+@pytest.mark.parametrize("params", [[("critic.l0.W", np.ones((4, 2)))],
+                                    [("actor.l0.W", np.ones(4))]],
+                         ids=["no-actor", "actor-vector"])
+def test_cli_record_without_an_actor_matrix_exits_1(tmp_path, capsys, params):
+    ckpt = tmp_path / "expert.ckpt"
+    nets.save_checkpoint(ckpt, params)
+    code = run(["record", "--env", "pointmass-v", "--ckpt", str(ckpt),
+                "--episodes", "1", "--out", str(tmp_path / "E.laifo")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: {ckpt}: no actor weight matrix in checkpoint\n"
+
+
 def test_cli_header_value_of_wrong_type_exits_1(tmp_path, capsys):
     from laifo.replay import DATASET_MAGIC
     data_path = tmp_path / "bad.laifo"

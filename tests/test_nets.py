@@ -20,53 +20,53 @@ def test_encoder_zero_window_zero_head_gives_zero_latent():
     # (zero) bias carried through the normalized trunk
     for p in enc.params():
         p.values[...] = 0.0
-    z = enc.values(np.zeros((3, 2)))
+    z = enc.values(np.zeros((1, 3, 2)))
     assert np.allclose(z, 0.0)
     # a nonzero head bias passes through standardization then the squash
     bias = np.array([0.1, -0.2, 0.3, 0.0])
     enc.mlp.biases[-1].values[...] = bias
     c = bias - bias.mean()
     expected = np.tanh(c / np.sqrt((c ** 2).mean()))
-    assert np.allclose(enc.values(np.zeros((3, 2))), expected[None], atol=1e-6)
+    assert np.allclose(enc.values(np.zeros((1, 3, 2))), expected[None], atol=1e-6)
 
 
 def test_encoder_deterministic_and_validates_frames():
     enc = VectorEncoder(make_rng(1), obs_dim=2, d=3, z_dim=4, hidden=8)
-    win = make_rng(2).standard_normal((3, 2))
+    win = make_rng(2).standard_normal((1, 3, 2))
     assert np.array_equal(enc.values(win), enc.values(win))
     with pytest.raises(ValueError, match="frames"):
-        enc.values(np.zeros((2, 2)))
+        enc.values(np.zeros((1, 2, 2)))
 
 
 def test_encoder_local_lipschitz_estimate():
     enc = VectorEncoder(make_rng(3), obs_dim=2, d=3, z_dim=4, hidden=8)
     rng = make_rng(4)
-    win = rng.standard_normal((3, 2))
+    win = rng.standard_normal((1, 3, 2))
     base = enc.values(win)
     # measure a local Lipschitz constant by sampling, then check a fresh
     # perturbation stays within it (small safety factor for nonlinearity)
     lip = 0.0
     for _ in range(64):
-        delta = rng.standard_normal((3, 2)) * 1e-4
+        delta = rng.standard_normal((1, 3, 2)) * 1e-4
         lip = max(lip, np.linalg.norm(enc.values(win + delta) - base)
                   / np.linalg.norm(delta))
-    probe = rng.standard_normal((3, 2))
+    probe = rng.standard_normal((1, 3, 2))
     probe *= 1e-6 / np.linalg.norm(probe)
     assert np.linalg.norm(enc.values(win + probe) - base) <= 2.0 * lip * 1e-6
 
 
 def test_actor_sigma_zero_is_deterministic_tanh_output():
     actor = make_actor(make_rng(5), z_dim=4, act_dim=2, hidden=8)
-    z = make_rng(6).standard_normal(4)
+    z = make_rng(6).standard_normal((1, 4))
     a = act(actor, z, sigma=0.0, clip_c=None, rng=make_rng(7))
-    assert np.array_equal(a, actor.values(z[None])[0])
+    assert np.array_equal(a, actor.values(z))
     assert np.all(np.abs(a) <= 1.0)
 
 
 def test_actor_clipped_noise_stays_inside_clip():
     actor = make_actor(make_rng(8), z_dim=4, act_dim=2, hidden=8)
-    z = np.zeros(4)
-    mean = actor.values(z[None])[0]
+    z = np.zeros((1, 4))
+    mean = actor.values(z)
     rng = make_rng(9)
     for _ in range(200):
         a = act(actor, z, sigma=0.2, clip_c=0.3, rng=rng)
@@ -310,6 +310,14 @@ def test_checkpoint_manifest_value_of_wrong_type_refused(tmp_path, manifest, key
     bad.write_bytes(CKPT_MAGIC + struct.pack("<I", len(manifest)) + manifest + bytes(8))
     with pytest.raises(ValueError, match=f"checkpoint manifest.* entry '{key}' must be {kind}"):
         load_checkpoint(bad)
+
+
+def test_load_into_names_a_missing_parameter():
+    actor = make_actor(make_rng(30), z_dim=3, act_dim=2, hidden=4)
+    loaded = dict(nets.named_params(actor))
+    del loaded["actor.l1.b"]
+    with pytest.raises(ValueError, match="checkpoint missing parameter actor.l1.b"):
+        nets.load_into([actor], loaded)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from laifo.envs import PointMass
+from laifo.imitate import WindowPolicy
 from laifo.nets import CKPT_MAGIC, load_checkpoint
 from laifo.replay import (DATASET_MAGIC, Episode, ExpertDataset,
                           ExpertWindowSampler, ReplayBuffer, _decode, _encode,
@@ -187,6 +188,72 @@ def test_empty_buffer_sampling_errors():
         buf.sample_stacked(1, d=2, rng=np.random.default_rng(0))
 
 
+def test_buffer_refusals_name_the_rule():
+    with pytest.raises(ValueError, match="capacity must be at least 2"):
+        ReplayBuffer(capacity=1, obs_shape=(1,), act_shape=(1,))
+    buf = ReplayBuffer(capacity=8, obs_shape=(1,), act_shape=(1,))
+    with pytest.raises(ValueError, match="first frame after reset"):
+        buf.push(np.zeros(1), action=np.zeros(1))
+    buf.push(np.zeros(1), action=None)
+    with pytest.raises(ValueError, match="only valid for an episode's first frame"):
+        buf.push(np.ones(1), action=None)
+    buf.push(np.ones(1), action=np.zeros(1), done=True)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        buf.sample_stacked(1, d=0, rng=np.random.default_rng(0))
+
+
+def test_sparse_ring_samples_its_one_transition_through_the_exact_fallback(monkeypatch):
+    # 998 one-frame episodes, then one two-frame episode: of 1000 stored
+    # frames only slot 998 starts a transition, so rejection draws almost
+    # never find it and the exact fallback fills the batch
+    buf = ReplayBuffer(capacity=1000, obs_shape=(1,), act_shape=(1,))
+    for i in range(998):
+        buf.push(np.array([float(i)]), action=None, done=True)
+    buf.push(np.array([998.0]), action=None)
+    buf.push(np.array([999.0]), action=np.array([0.5]), reward=2.0, done=True)
+    exact, calls = buf._transition_sources, []
+    monkeypatch.setattr(buf, "_transition_sources", lambda: calls.append(1) or exact())
+    sources = buf._sample_sources(64, np.random.default_rng(0))
+    assert calls == [1]
+    assert sources.tolist() == [998] * 64
+    batch = buf.sample_stacked(64, d=1, rng=np.random.default_rng(1))
+    assert np.all(batch.windows == 998.0) and np.all(batch.next_windows == 999.0)
+    assert np.all(batch.actions == 0.5) and np.all(batch.rewards == 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("obs_mode", ["vector", "pixel"])
+def test_policy_acts_on_the_ring_window_of_its_newest_frame(d, obs_mode):
+    # at every frame the policy's window is the ring's window ending at the
+    # newest slot; the ring holds exactly one episode, so it wraps through
+    # the second
+    env = PointMass(seed=0, obs_mode=obs_mode)
+    ring = ReplayBuffer(env.episode_limit + 1, env.obs_shape, (env.act_dim,))
+    policy = WindowPolicy(None, d)
+    rng = np.random.default_rng(2)
+
+    def check():
+        newest = np.array([(ring._idx - 1) % ring.capacity])
+        window = ring._frames(ring._window_indices(newest, d))[0]
+        acted = np.stack(policy.frames)
+        assert acted.dtype == window.dtype and acted.shape == window.shape
+        assert acted.tobytes() == window.tobytes()
+
+    for episode in range(2):
+        obs = env.reset(seed=episode).astype(np.float32)  # as the ring stores it
+        ring.push(obs, None)
+        policy.reset(obs)
+        check()
+        done = False
+        while not done:
+            a = rng.uniform(-1.0, 1.0, env.act_dim)
+            obs, r, done = env.step(a)
+            obs = obs.astype(np.float32)
+            ring.push(obs, a, r, done)
+            policy.observe(obs)
+            check()
+
+
 def _toy_dataset(with_actions=True, with_rewards=True, env="pointmass-v"):
     rng = np.random.default_rng(6)
     eps = []
@@ -214,6 +281,34 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a.observations, b.observations)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.rewards, b.rewards)
+
+
+def test_dataset_refusals_name_the_fault(tmp_path):
+    with pytest.raises(ValueError, match="dataset has no rewards"):
+        _toy_dataset(with_rewards=False).mean_return()
+    for field, bad, message in (
+            ("observations", np.zeros((4, 3), np.float32), "observation shape mismatch"),
+            ("actions", np.zeros((4, 2), np.float32), r"expected actions of shape \(3, 2\)"),
+            ("rewards", np.zeros(4, np.float32), "expected 3 rewards")):
+        ds = _toy_dataset()
+        setattr(ds.episodes[0], field, bad)
+        with pytest.raises(ValueError, match=f"episode 0: {message}"):
+            ds.validate()
+    path = tmp_path / "e.laifo"
+    save_dataset(_toy_dataset(), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes after declared episodes"):
+        load_dataset(path)
+
+
+def test_expert_sampler_refuses_empty_and_one_frame_episodes():
+    with pytest.raises(ValueError, match="empty expert dataset"):
+        ExpertWindowSampler(ExpertDataset("pointmass-v", (2,), (2,), []), d=2)
+    ds = _toy_dataset()
+    ds.episodes.append(Episode(np.zeros((1, 2), np.float32), np.zeros((0, 2), np.float32),
+                               np.zeros(0, np.float32)))
+    with pytest.raises(ValueError, match="at least 2 observations"):
+        ExpertWindowSampler(ds, d=2)
 
 
 def test_dataset_header_count_mismatch(tmp_path):
@@ -256,7 +351,7 @@ def test_dataset_header_missing_keys(tmp_path):
     write({})
     with pytest.raises(ValueError, match="dataset header has no 'env' entry"):
         load_dataset(bad)
-    for key in ("env", "obs_shape", "act_shape", "episodes", "has_actions",
+    for key in ("env", "obs_shape", "act_shape", "episodes", "dtype", "has_actions",
                 "has_rewards"):
         write({k: v for k, v in full.items() if k != key})
         with pytest.raises(ValueError, match=f"dataset header has no '{key}' entry"):
@@ -276,7 +371,9 @@ def _save_with_header_entry(path, key, value):
 _BAD_HEADER_VALUES = [("env", 3, "str"), ("obs_shape", "ab", "a list of ints"),
                       ("obs_shape", 2, "a list of ints"), ("act_shape", [2.0], "a list of ints"),
                       ("act_shape", [True], "a list of ints"), ("episodes", "1", "int"),
-                      ("episodes", True, "int"), ("has_actions", "false", "bool")]
+                      ("episodes", True, "int"), ("has_actions", "false", "bool"),
+                      ("dtype", 4, "str"), ("dtype", "f64le", "'f32le'"),
+                      ("dtype", "i16be", "'f32le'")]
 
 
 @pytest.mark.parametrize("key, value, kind", _BAD_HEADER_VALUES,

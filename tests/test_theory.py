@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,27 @@ def test_verify_bound_terms_match_the_table_functions():
     assert rep.lhs == abs(policy_value(m, tab_e) - policy_value(m, tab_t))
     assert rep.c_value == c_term(m, tab_t, tab_e)
     assert rep.c_value > 0.0
+
+
+def test_report_to_dict_lists_fields_then_extras_and_names_infinities():
+    rep = theory.BoundReport("theorem3", 0.5, np.inf, -np.inf,
+                             extras={"kl_latent": np.inf, "tv_latent": 0.25})
+    out = rep.to_dict()
+    assert list(out.items()) == [
+        ("claim", "theorem3"), ("lhs", 0.5), ("rhs", "inf"), ("slack", "-inf"),
+        ("r_max", 0.0), ("tv_term", 0.0), ("c_value", 0.0),
+        ("assumption_violation", 0.0), ("kl_latent", "inf"), ("tv_latent", 0.25)]
+
+
+def test_report_of_a_diverging_kl_is_strict_json():
+    # the expert never takes the actions a random agent does: KL is +inf
+    m = _mdp(5, 3, seed=50)
+    step = pair_step(m, LatentScheme(1))
+    expert = np.eye(m.n_actions)[np.arange(len(step.windows)) % m.n_actions]
+    out = verify("theorem3", m, step, _policy_for(m, step, 51), expert).to_dict()
+    assert out["kl_state"] == out["kl_latent"] == "inf"
+    assert np.isfinite(out["slack"])
+    json.dumps(out, allow_nan=False)
 
 
 def test_verify_rejects_unknown_claim():
